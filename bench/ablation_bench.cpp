@@ -21,7 +21,6 @@
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "baselines/greedy_assign.hpp"
-#include "baselines/kmeans_place.hpp"
 #include "baselines/mcs.hpp"
 #include "core/appro_alg.hpp"
 #include "core/refine.hpp"
@@ -159,8 +158,6 @@ int main(int argc, char** argv) {
     refine_row(baselines::solve(scenario, coverage, baselines::McsParams{}));
     refine_row(
         baselines::solve(scenario, coverage, baselines::GreedyAssignParams{}));
-    refine_row(
-        baselines::solve(scenario, coverage, baselines::KMeansParams{}));
     t.print(std::cout);
   }
 

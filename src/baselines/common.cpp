@@ -2,6 +2,7 @@
 
 #include "analysis/audit.hpp"
 #include "common/check.hpp"
+#include "core/planner.hpp"
 #include "obs/metrics.hpp"
 
 namespace uavcov::baselines {
@@ -11,7 +12,7 @@ Solution finalize(const Scenario& scenario, const CoverageModel& coverage,
                   std::string algorithm_name, double solve_seconds,
                   BaselineStats* stats) {
   // Every baseline funnels through here, so this is the one place that
-  // gives all six solvers a uniform "solve.<algorithm>.*" metrics surface
+  // gives all five solvers a uniform "solve.<algorithm>.*" metrics surface
   // (approAlg records its own in src/core/appro_alg.cpp).
   obs::counter("solve." + algorithm_name + ".runs").inc();
   obs::histogram("solve." + algorithm_name + ".seconds")
@@ -28,13 +29,8 @@ Solution finalize(const Scenario& scenario, const CoverageModel& coverage,
   for (std::size_t i = 0; i < locations.size(); ++i) {
     deployments.push_back({UavId{i}, locations[i]});
   }
-  const AssignmentResult assignment =
-      solve_assignment(scenario, coverage, deployments);
-  Solution solution;
-  solution.algorithm = std::move(algorithm_name);
-  solution.deployments = std::move(deployments);
-  solution.user_to_deployment = assignment.user_to_deployment;
-  solution.served = assignment.served;
+  Solution solution = planner::finalize(
+      scenario, coverage, std::move(deployments), std::move(algorithm_name));
   solution.solve_seconds = solve_seconds;
   if (analysis::audit_env_enabled()) {
     // Baselines are exempt from the connectivity constraint only when

@@ -23,9 +23,8 @@ namespace uavcov::baselines {
 /// Search counters shared by every baseline's unified solve() entry point
 /// (the baseline-side counterpart of ApproAlgStats).  `iterations` is the
 /// algorithm's natural outer-loop count: growth trials for MCS, hill-climb
-/// rounds for MotionCtrl, Lloyd iterations for KMeansPlace, random trials
-/// for RandomConnected, profit rounds for GreedyAssign, stitched seeds for
-/// maxThroughput.
+/// rounds for MotionCtrl, random trials for RandomConnected, profit rounds
+/// for GreedyAssign, stitched seeds for maxThroughput.
 struct BaselineStats {
   std::int64_t locations_selected = 0;  ///< cells handed to finalize().
   std::int64_t iterations = 0;          ///< algorithm-specific loop count.

@@ -15,6 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "core/assignment.hpp"
 #include "core/matroid.hpp"
+#include "core/planner.hpp"
 #include "core/relay.hpp"
 #include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
@@ -120,7 +121,6 @@ std::vector<LocationId> greedy_place(
       const UavId uav = uav_order[static_cast<std::size_t>(k)];
       LocationId pick = kInvalidLocation;
       std::int32_t pick_idx = -1;
-      std::int64_t pick_gain = -1;
       while (!heap.empty()) {
         const auto [bound, idx] = heap.top();
         heap.pop();
@@ -141,7 +141,6 @@ std::vector<LocationId> greedy_place(
         if (accept) {
           pick = loc;
           pick_idx = idx;
-          pick_gain = gain;
           break;
         }
         // Stale bound refreshed; retry against the rest of the heap.
@@ -152,7 +151,6 @@ std::vector<LocationId> greedy_place(
       m2.add(pick);
       taken[static_cast<std::size_t>(pick_idx)] = true;
       chosen.push_back(pick);
-      (void)pick_gain;
       if (audit) {
         audit_greedy_round(ia, m2, chosen,
                            static_cast<std::int32_t>(uav_order.size()));
@@ -355,7 +353,6 @@ void ApproAlgParams::validate() const {
 
 Solution appro_alg(const Scenario& scenario, const ApproAlgParams& params,
                    ApproAlgStats* stats) {
-  params.validate();
   const CoverageModel coverage(scenario);
   return appro_alg(scenario, coverage, params, stats);
 }
@@ -552,54 +549,13 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
       static_cast<std::int32_t>(best_deployments.size()) < K) {
     // Engineering extension (see ApproAlgParams::fill_leftover_uavs): the
     // paper grounds the K − q_j UAVs that neither serve nor relay; we
-    // spend them greedily on cells adjacent to the winning network while
-    // they still add served users.
+    // spend them on the winning network's frontier (core/planner.hpp).
     if (!fill_state) fill_state = std::make_unique<WorkerState>(ctx);
     IncrementalAssignment& ia = fill_state->ia;
     const auto scope = ia.begin_scope();
-    std::vector<bool> used_uav(static_cast<std::size_t>(K), false);
-    std::vector<bool> occupied(static_cast<std::size_t>(g.node_count()),
-                               false);
-    for (const Deployment& d : best_deployments) {
-      ia.deploy(d.uav, d.loc);
-      used_uav[d.uav.index()] = true;
-      occupied[d.loc.index()] = true;
-    }
-    std::vector<UavId> leftovers;
-    for (UavId k : uav_order) {
-      if (!used_uav[k.index()]) leftovers.push_back(k);
-    }
-    for (UavId k : leftovers) {
-      // Frontier = unoccupied cells adjacent (<= R_uav) to the network
-      // that can cover at least one user.
-      std::vector<LocationId> frontier;
-      std::vector<bool> seen(static_cast<std::size_t>(g.node_count()),
-                             false);
-      for (const Deployment& d : ia.deployments()) {
-        for (const NodeId nb : g.neighbors(to_node(d.loc))) {
-          const LocationId cell = to_cell(nb);
-          if (occupied[cell.index()] || seen[cell.index()] ||
-              coverage.max_coverage(cell) == 0) {
-            continue;
-          }
-          seen[cell.index()] = true;
-          frontier.push_back(cell);
-        }
-      }
-      std::int64_t best_gain = 0;
-      LocationId best_cell = kInvalidLocation;
-      for (LocationId cell : frontier) {
-        const std::int64_t gain = ia.probe(k, cell);
-        ++st.probes;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_cell = cell;
-        }
-      }
-      if (!best_cell.valid()) break;  // no positive gain left
-      ia.deploy(k, best_cell);
-      occupied[best_cell.index()] = true;
-    }
+    st.probes += planner::fill_frontier(ia, g, coverage, best_deployments,
+                                        uav_order)
+                     .probes;
     if (audit) {
       analysis::AuditReport report = analysis::audit_assignment_flow(ia);
       report.subject = "appro_alg.leftover_fill";
@@ -614,11 +570,8 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
 
   if (best_served >= 0) {
     // Final optimal assignment for the winning deployment (Lemma 1).
-    const AssignmentResult assignment =
-        solve_assignment(scenario, coverage, best_deployments);
-    solution.deployments = std::move(best_deployments);
-    solution.user_to_deployment = std::move(assignment.user_to_deployment);
-    solution.served = assignment.served;
+    solution = planner::finalize(scenario, coverage,
+                                 std::move(best_deployments), "approAlg");
     UAVCOV_CHECK_MSG(solution.served == best_served,
                      "final assignment disagrees with incremental count");
   }

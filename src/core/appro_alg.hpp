@@ -42,9 +42,10 @@ struct ApproAlgParams {
   /// comes from steering big UAVs onto coverage spots (§I's argument).
   bool capacity_ascending = false;
   /// Engineering extension beyond the paper (which grounds the K − q_j
-  /// UAVs left after relay stitching): greedily deploy them on cells
-  /// adjacent to the winning network while the marginal gain is positive.
-  /// Connectivity is preserved by construction.  Set false for the
+  /// UAVs left after relay stitching): deploy them on cells adjacent to
+  /// the winning network while the marginal gain is positive
+  /// (planner::fill_frontier, core/planner.hpp).  Connectivity is
+  /// preserved by construction.  Set false for the
   /// paper-faithful behavior; the ablation bench measures the difference.
   bool fill_leftover_uavs = true;
   /// Safety valve for pathological inputs: stop after this many evaluated

@@ -8,10 +8,10 @@
 
 namespace uavcov {
 
-/// Shared by RedeployPolicy and resilience::RepairPolicy: throws
-/// std::invalid_argument unless `value` is a finite fraction in (0, 1].
-/// `context` names the offending field in the message, matching the
-/// ApproAlgParams::validate() style.
+/// Shared by RedeployPolicy, resilience::RepairPolicy and
+/// stream::StreamPolicy: throws std::invalid_argument unless `value` is a
+/// finite fraction in (0, 1].  `context` names the offending field in the
+/// message, matching the ApproAlgParams::validate() style.
 void validate_unit_threshold(const char* context, double value);
 
 struct RedeployPolicy {

@@ -5,7 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/fingerprint.hpp"
-#include "graph/dsu.hpp"
+#include "core/planner.hpp"
 
 namespace uavcov {
 
@@ -29,19 +29,7 @@ std::uint64_t Solution::fingerprint() const {
 
 bool deployments_connected(const Scenario& scenario,
                            const std::vector<Deployment>& deployments) {
-  const auto k = static_cast<std::int32_t>(deployments.size());
-  if (k <= 1) return true;
-  Dsu dsu(k);
-  for (std::int32_t i = 0; i < k; ++i) {
-    const Vec2 pi =
-        scenario.grid.center(deployments[static_cast<std::size_t>(i)].loc);
-    for (std::int32_t j = i + 1; j < k; ++j) {
-      const Vec2 pj =
-          scenario.grid.center(deployments[static_cast<std::size_t>(j)].loc);
-      if (distance(pi, pj) <= scenario.uav_range_m) dsu.unite(i, j);
-    }
-  }
-  return dsu.component_count() == 1;
+  return planner::deployment_components(scenario, deployments).size() <= 1;
 }
 
 void validate_solution(const Scenario& scenario, const CoverageModel& coverage,

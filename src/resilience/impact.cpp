@@ -4,25 +4,11 @@
 #include <optional>
 #include <utility>
 
-#include "core/assignment.hpp"
+#include "core/planner.hpp"
 #include "graph/articulation.hpp"
-#include "graph/dsu.hpp"
 #include "graph/graph.hpp"
 
 namespace uavcov::resilience {
-
-namespace {
-
-/// True when UAVs at these two cells can hear each other (same altitude,
-/// so the link length is the ground distance between cell centers —
-/// matching validate_solution's connectivity rule).
-bool linked(const Scenario& scenario, LocationId a, LocationId b,
-            double range_m) {
-  return distance(scenario.grid.center(a), scenario.grid.center(b)) <=
-         range_m;
-}
-
-}  // namespace
 
 ImpactReport analyze_impact(const Scenario& scenario,
                             const Solution& solution, const FaultPlan& plan) {
@@ -38,9 +24,8 @@ ImpactReport analyze_impact(const Scenario& scenario,
     std::vector<std::pair<NodeId, NodeId>> edges;
     for (std::int32_t i = 0; i < n; ++i) {
       for (std::int32_t j = i + 1; j < n; ++j) {
-        if (linked(scenario, deps[static_cast<std::size_t>(i)].loc,
-                   deps[static_cast<std::size_t>(j)].loc,
-                   scenario.uav_range_m)) {
+        if (planner::linked(scenario, deps[static_cast<std::size_t>(i)].loc,
+                            deps[static_cast<std::size_t>(j)].loc)) {
           edges.emplace_back(i, j);
         }
       }
@@ -86,54 +71,21 @@ ImpactReport analyze_impact(const Scenario& scenario,
 
     EventImpact impact;
     impact.event = e;
-    std::vector<std::int32_t> survivors;  // indices into deps
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (alive[deps[static_cast<std::size_t>(i)].uav.index()]) {
-        survivors.push_back(i);
-      }
+    std::vector<Deployment> survivors;
+    for (const Deployment& d : deps) {
+      if (alive[d.uav.index()]) survivors.push_back(d);
     }
     impact.deployments_alive = static_cast<std::int32_t>(survivors.size());
 
     if (!survivors.empty()) {
-      Dsu dsu(static_cast<std::int32_t>(survivors.size()));
-      for (std::size_t a = 0; a < survivors.size(); ++a) {
-        for (std::size_t b = a + 1; b < survivors.size(); ++b) {
-          if (linked(degraded,
-                     deps[static_cast<std::size_t>(survivors[a])].loc,
-                     deps[static_cast<std::size_t>(survivors[b])].loc,
-                     degraded.uav_range_m)) {
-            dsu.unite(static_cast<std::int32_t>(a),
-                      static_cast<std::int32_t>(b));
-          }
-        }
-      }
-      impact.components = dsu.component_count();
-
-      // Group survivors by DSU root, in first-member order (deterministic).
-      std::vector<std::pair<std::int32_t, std::vector<Deployment>>> groups;
-      for (std::size_t a = 0; a < survivors.size(); ++a) {
-        const std::int32_t root = dsu.find(static_cast<std::int32_t>(a));
-        auto it = std::find_if(groups.begin(), groups.end(),
-                               [root](const auto& g) {
-                                 return g.first == root;
-                               });
-        if (it == groups.end()) {
-          groups.push_back({root, {}});
-          it = groups.end() - 1;
-        }
-        it->second.push_back(deps[static_cast<std::size_t>(survivors[a])]);
-      }
-      for (const auto& [root, members] : groups) {
-        const AssignmentResult r =
-            solve_assignment(degraded, *coverage, members);
-        // First group wins ties: groups are ordered by lowest member index.
-        if (r.served > impact.served_remaining ||
-            impact.main_component_size == 0) {
-          impact.served_remaining = r.served;
-          impact.main_component_size =
-              static_cast<std::int32_t>(members.size());
-        }
-      }
+      const std::vector<std::vector<Deployment>> components =
+          planner::deployment_components(degraded, survivors);
+      const planner::ComponentPick main =
+          planner::max_served_component(degraded, *coverage, components);
+      impact.components = static_cast<std::int32_t>(components.size());
+      impact.main_component_size =
+          static_cast<std::int32_t>(components[main.index].size());
+      impact.served_remaining = main.served;
     }
     impact.users_stranded =
         std::max<std::int64_t>(0, solution.served - impact.served_remaining);

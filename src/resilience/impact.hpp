@@ -2,8 +2,9 @@
 //
 // Reuses the graph machinery the solver already trusts — Tarjan
 // articulation points (graph/articulation.hpp) name the single points of
-// failure of the standing network, and a DSU (graph/dsu.hpp) tracks the
-// surviving connected components as events accumulate.  The "remaining"
+// failure of the standing network, and planner::deployment_components
+// (core/planner.hpp) groups the survivors into connected components as
+// events accumulate.  The "remaining"
 // numbers are optimal for the surviving main component (Lemma 1
 // assignment), so the report is a lower bound on damage: any real system
 // without repair does no better.

@@ -9,11 +9,11 @@
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
+#include "core/planner.hpp"
 #include "core/redeploy.hpp"
 #include "core/refine.hpp"
 #include "core/relay.hpp"
 #include "graph/bfs.hpp"
-#include "graph/dsu.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 
@@ -229,105 +229,30 @@ bool RepairController::repair_locally(Solution& solution,
   }
 
   if (!connected) {
-    // Phase 2 fallback: keep the best surviving component, abandon the
-    // rest, and spend every idle UAV (cut-off survivors included) as
-    // greedy frontier reinforcements — the fill_leftover_uavs idiom.
-    std::vector<Deployment> deps = std::move(solution.deployments);
-    solution.deployments.clear();
-    if (!deps.empty()) {
-      Dsu dsu(static_cast<std::int32_t>(deps.size()));
-      for (std::size_t a = 0; a < deps.size(); ++a) {
-        for (std::size_t b = a + 1; b < deps.size(); ++b) {
-          if (distance(degraded_.grid.center(deps[a].loc),
-                       degraded_.grid.center(deps[b].loc)) <=
-              degraded_.uav_range_m) {
-            dsu.unite(static_cast<std::int32_t>(a),
-                      static_cast<std::int32_t>(b));
-          }
-        }
-      }
-      // Groups in first-member order; best optimal served wins, first
-      // group wins ties (deterministic).
-      std::vector<std::pair<std::int32_t, std::vector<Deployment>>> groups;
-      for (std::size_t a = 0; a < deps.size(); ++a) {
-        const std::int32_t root = dsu.find(static_cast<std::int32_t>(a));
-        auto it = std::find_if(
-            groups.begin(), groups.end(),
-            [root](const auto& grp) { return grp.first == root; });
-        if (it == groups.end()) {
-          groups.push_back({root, {}});
-          it = groups.end() - 1;
-        }
-        it->second.push_back(deps[a]);
-      }
-      std::int64_t best_served = -1;
-      std::size_t best_group = 0;
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        const AssignmentResult r =
-            solve_assignment(degraded_, *coverage_, groups[gi].second);
-        if (r.served > best_served) {
-          best_served = r.served;
-          best_group = gi;
-        }
-      }
-      solution.deployments = std::move(groups[best_group].second);
-      outcome.dropped += static_cast<std::int32_t>(
-          deps.size() - solution.deployments.size());
-    }
-
-    if (!solution.deployments.empty()) {
-      // Idle UAVs = everyone not deployed in the kept component, largest
-      // capacity first (the solver's own deployment order).
-      std::vector<bool> deployed(static_cast<std::size_t>(fleet), false);
-      for (const Deployment& d : solution.deployments) {
-        deployed[d.uav.index()] = true;
-      }
-      IncrementalAssignment ia(degraded_, *coverage_);
-      std::vector<bool> occupied(
-          static_cast<std::size_t>(g.node_count()), false);
-      for (const Deployment& d : solution.deployments) {
-        ia.deploy(d.uav, d.loc);
-        occupied[d.loc.index()] = true;
-      }
-      for (const UavId k : degraded_.uavs_by_capacity_desc()) {
-        if (deployed[k.index()]) continue;
-        std::vector<LocationId> frontier;
-        std::vector<bool> seen(
-            static_cast<std::size_t>(g.node_count()), false);
-        for (const Deployment& d : ia.deployments()) {
-          for (const NodeId nb : g.neighbors(to_node(d.loc))) {
-            const LocationId cell = to_cell(nb);
-            if (occupied[cell.index()] || seen[cell.index()] ||
-                coverage_->max_coverage(cell) == 0) {
-              continue;
-            }
-            seen[cell.index()] = true;
-            frontier.push_back(cell);
-          }
-        }
-        std::int64_t best_gain = 0;
-        LocationId best_cell = kInvalidLocation;
-        for (LocationId cell : frontier) {
-          const std::int64_t gain = ia.probe(k, cell);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_cell = cell;
-          }
-        }
-        if (!best_cell.valid()) break;  // nothing gains
-        ia.deploy(k, best_cell);
-        occupied[best_cell.index()] = true;
-        ++outcome.retasked;
-      }
-      solution.deployments = ia.deployments();
-    }
+    // Phase 2 fallback (>= 2 survivors, or phase 1 would have connected):
+    // keep the best surviving component, abandon the rest, and spend every
+    // idle UAV (cut-off survivors included) on its frontier, largest
+    // capacity first (core/planner.hpp).
+    const std::vector<std::vector<Deployment>> components =
+        planner::deployment_components(degraded_, solution.deployments);
+    const std::vector<Deployment>& kept =
+        components[planner::max_served_component(degraded_, *coverage_,
+                                                 components)
+                       .index];
+    outcome.dropped += static_cast<std::int32_t>(
+        solution.deployments.size() - kept.size());
+    IncrementalAssignment ia(degraded_, *coverage_);
+    outcome.retasked += planner::fill_frontier(
+                            ia, g, *coverage_, kept,
+                            degraded_.uavs_by_capacity_desc())
+                            .added;
+    solution.deployments = ia.deployments();
   }
 
   // Final optimal assignment (Lemma 1), then a bounded polish.
-  const AssignmentResult fin =
-      solve_assignment(degraded_, *coverage_, solution.deployments);
-  solution.user_to_deployment = fin.user_to_deployment;
-  solution.served = fin.served;
+  solution = planner::finalize(degraded_, *coverage_,
+                               std::move(solution.deployments),
+                               std::move(solution.algorithm));
   if (policy_.refine_rounds > 0 && !solution.deployments.empty()) {
     RefineParams params;
     params.max_rounds = policy_.refine_rounds;

@@ -11,8 +11,9 @@
 //      re-task the lowest-marginal-value survivors onto them (the UAVs
 //      whose loss of coverage duty costs the fewest served users);
 //   3. if stitching is impossible (survivors mutually unreachable), fall
-//      back to the best surviving component and spend the cut-off UAVs as
-//      greedy frontier reinforcements (the fill_leftover_uavs idiom);
+//      back to the best surviving component and spend the cut-off UAVs on
+//      its frontier (planner::deployment_components, planner::fill_frontier
+//      in core/planner.hpp — the same fill approAlg runs for leftovers);
 //   4. re-run the optimal assignment (Lemma 1) and, optionally, a bounded
 //      refine_solution pass —
 //

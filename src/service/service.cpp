@@ -1,6 +1,5 @@
 #include "service/service.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -9,11 +8,10 @@
 #include "analysis/audit.hpp"
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
-#include "core/assignment.hpp"
 #include "core/coverage.hpp"
+#include "core/planner.hpp"
 #include "core/relay.hpp"
 #include "graph/bfs.hpp"
-#include "graph/dsu.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 
@@ -166,6 +164,7 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
     }
   }
 
+  const CoverageModel coverage(scenario);
   // Phase 3 — boundary-gateway reconciliation: if the merged deployment
   // set is disconnected under R_uav, staff the MST relay plan's gateway
   // cells from spare UAVs (capacity-descending, deterministic); when the
@@ -187,7 +186,6 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
       chosen.reserve(deployments.size());
       for (const Deployment& d : deployments) chosen.push_back(d.loc);
       const std::optional<RelayPlan> relay_plan = stitch_connected(g, chosen);
-      bool stitched = false;
       if (relay_plan.has_value() &&
           relay_plan->relay_count <=
               static_cast<std::int32_t>(spares.size())) {
@@ -199,59 +197,23 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
           deployments.push_back(Deployment{uav, cell});
         }
         out.stats.relays_staffed = relay_plan->relay_count;
-        stitched = true;
-      }
-      if (!stitched) {
-        const auto count = static_cast<std::int32_t>(deployments.size());
-        Dsu dsu(count);
-        for (std::int32_t i = 0; i < count; ++i) {
-          for (std::int32_t j = i + 1; j < count; ++j) {
-            if (g.has_edge(nodes[static_cast<std::size_t>(i)],
-                           nodes[static_cast<std::size_t>(j)])) {
-              dsu.unite(i, j);
-            }
-          }
-        }
-        std::vector<std::int32_t> roots;  // first-member order
-        for (std::int32_t i = 0; i < count; ++i) {
-          const std::int32_t r = dsu.find(i);
-          if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
-            roots.push_back(r);
-          }
-        }
-        const CoverageModel coverage(scenario);
-        std::vector<Deployment> best;
-        std::int64_t best_served = -1;
-        for (const std::int32_t root : roots) {
-          std::vector<Deployment> members;
-          for (std::int32_t i = 0; i < count; ++i) {
-            if (dsu.find(i) == root) {
-              members.push_back(deployments[static_cast<std::size_t>(i)]);
-            }
-          }
-          const std::int64_t served =
-              solve_assignment(scenario, coverage, members).served;
-          if (served > best_served) {  // ties keep the earlier component
-            best_served = served;
-            best = std::move(members);
-          }
-        }
+      } else {
+        std::vector<std::vector<Deployment>> components =
+            planner::deployment_components(scenario, deployments);
+        const std::size_t kept =
+            planner::max_served_component(scenario, coverage, components)
+                .index;
         out.stats.components_dropped =
-            static_cast<std::int32_t>(roots.size()) - 1;
-        deployments = std::move(best);
+            static_cast<std::int32_t>(components.size()) - 1;
+        deployments = std::move(components[kept]);
       }
     }
   }
 
   // Phase 4 — one global Lemma-1 assignment over the stitched deployment
   // set, so halo-overlap users are served by whichever tile's UAV wins.
-  const CoverageModel coverage(scenario);
-  const AssignmentResult assign =
-      solve_assignment(scenario, coverage, deployments);
-  out.solution.algorithm = "service.sharded";
-  out.solution.deployments = std::move(deployments);
-  out.solution.user_to_deployment = assign.user_to_deployment;
-  out.solution.served = assign.served;
+  out.solution = planner::finalize(scenario, coverage, std::move(deployments),
+                                   "service.sharded");
   out.solution.solve_seconds = watch.elapsed_s();
 
   const std::int32_t degraded = out.report.degraded_tiles();

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
 #include "core/assignment.hpp"
+#include "core/planner.hpp"
 #include "core/redeploy.hpp"
 #include "obs/metrics.hpp"
 
@@ -146,61 +147,20 @@ Solution StreamEngine::patch(const CoverageModel& coverage) {
   const Scenario& scenario = ingest_.scenario();
   const Stopwatch watch;
 
+  // Re-deploy the standing placement (every deploy augments the fresh flow
+  // network through the incremental add-node journal, so the churned users
+  // are re-matched without a from-scratch solver run), then spend idle
+  // UAVs on its frontier; connectivity is preserved by construction.
   IncrementalAssignment ia(scenario, coverage);
-  std::vector<bool> occupied(static_cast<std::size_t>(scenario.grid.size()),
-                             false);
-  IdVector<UavTag, bool> uav_used(scenario.fleet.size(), false);
-  // Re-deploy the standing placement in order: every deploy augments the
-  // fresh flow network through the incremental add-node journal, so the
-  // churned users are re-matched without a from-scratch solver run.
-  for (const Deployment& d : solution_.deployments) {
-    ia.deploy(d.uav, d.loc);
-    occupied[d.loc.index()] = true;
-    uav_used[d.uav] = true;
-  }
+  planner::fill_frontier(ia, cell_graph_, coverage, solution_.deployments,
+                         scenario.uavs_by_capacity_desc());
 
-  // Greedy frontier fill: idle UAVs (capacity-descending) hover on cells
-  // adjacent to the standing network while a probe shows positive gain —
-  // the same engineering extension approAlg uses for leftover UAVs, so
-  // connectivity is preserved by construction.
-  if (!solution_.deployments.empty()) {
-    for (const UavId k : scenario.uavs_by_capacity_desc()) {
-      if (uav_used[k]) continue;
-      std::vector<bool> seen = occupied;
-      std::int64_t best_gain = 0;
-      LocationId best_loc = kInvalidLocation;
-      for (const Deployment& d : ia.deployments()) {
-        for (const NodeId v : cell_graph_.neighbors(to_node(d.loc))) {
-          if (seen[static_cast<std::size_t>(v)]) continue;
-          seen[static_cast<std::size_t>(v)] = true;
-          const std::int64_t gain = ia.probe(k, to_cell(v));
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_loc = to_cell(v);
-          }
-        }
-      }
-      if (best_gain > 0) {
-        ia.deploy(k, best_loc);
-        occupied[best_loc.index()] = true;
-        uav_used[k] = true;
-      }
-    }
-  }
-
-  // Finalize with the optimal Lemma-1 assignment over the patched
-  // deployment set; its max flow must agree with the incremental count.
-  const AssignmentResult assignment =
-      solve_assignment(scenario, coverage, ia.deployments());
-  UAVCOV_CHECK_MSG(assignment.served == ia.served(),
+  // The Lemma-1 finalize must agree with the incremental count.
+  Solution out = planner::finalize(scenario, coverage, ia.deployments(),
+                                   "stream.patch");
+  UAVCOV_CHECK_MSG(out.served == ia.served(),
                    "stream: patched assignment disagrees with the "
                    "incremental served count");
-
-  Solution out;
-  out.algorithm = "stream.patch";
-  out.deployments = ia.deployments();
-  out.user_to_deployment = assignment.user_to_deployment;
-  out.served = assignment.served;
   out.solve_seconds = watch.elapsed_s();
 
   if (policy_.appro.audit || analysis::audit_env_enabled()) {

@@ -6,10 +6,10 @@
 //
 //   * delta patch — rebuild the live flow network (core/assignment's
 //     incremental add-node/rollback journal), re-deploy the standing
-//     placement against the churned user set, greedily fill idle UAVs on
-//     frontier cells adjacent to the network while a probe shows positive
-//     gain (connectivity preserved by construction), and finish with the
-//     optimal Lemma-1 assignment;
+//     placement against the churned user set, spend idle UAVs on the
+//     network frontier while a probe shows positive gain (connectivity
+//     preserved by construction), and finish with the optimal Lemma-1
+//     assignment — all three steps from core/planner.hpp;
 //   * full re-solve — run approAlg from scratch on the materialized
 //     scenario.
 //

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "baselines/greedy_assign.hpp"
-#include "baselines/kmeans_place.hpp"
 #include "baselines/max_throughput.hpp"
 #include "baselines/mcs.hpp"
 #include "baselines/motion_ctrl.hpp"
@@ -57,7 +56,6 @@ TEST_P(EndToEndSweep, AllAlgorithmsFeasibleAndOrdered) {
   all.push_back(baselines::solve(sc, cov, baselines::MotionCtrlParams{}));
   all.push_back(baselines::solve(sc, cov, baselines::McsParams{}));
   all.push_back(baselines::solve(sc, cov, baselines::GreedyAssignParams{}));
-  all.push_back(baselines::solve(sc, cov, baselines::KMeansParams{}));
   all.push_back(baselines::solve(sc, cov, baselines::RandomConnectedParams{}));
 
   for (const Solution& sol : all) {

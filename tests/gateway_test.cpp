@@ -1,9 +1,6 @@
-// Tests for the gateway/backhaul extension (paper Fig. 1) and the
-// KMeansPlace extra baseline.
+// Tests for the gateway/backhaul extension (paper Fig. 1).
 #include <gtest/gtest.h>
 
-#include "baselines/kmeans_place.hpp"
-#include "common/rng.hpp"
 #include "core/appro_alg.hpp"
 #include "core/gateway.hpp"
 
@@ -104,67 +101,6 @@ TEST(Gateway, RelaysMayPickUpUsers) {
   ASSERT_TRUE(result.connected);
   EXPECT_GE(sol.served, served_before);
   validate_solution(sc, cov, sol);
-}
-
-TEST(KMeansPlace, FeasibleAndDeterministic) {
-  Rng rng(8);
-  Scenario sc{
-      .grid = Grid(1000, 1000, 100),
-      .altitude_m = 60.0,
-      .uav_range_m = 150.0,
-      .channel = {},
-      .receiver = {},
-      .users = {},
-      .fleet = {},
-  };
-  for (int i = 0; i < 60; ++i) {
-    sc.users.push_back(
-        {{rng.uniform(0, 1000), rng.uniform(0, 1000)}, 1e3});
-  }
-  for (int k = 0; k < 6; ++k) sc.fleet.push_back({5, Radio{}, 120.0});
-  const CoverageModel cov(sc);
-  const Solution a = baselines::solve(sc, cov, baselines::KMeansParams{});
-  const Solution b = baselines::solve(sc, cov, baselines::KMeansParams{});
-  validate_solution(sc, cov, a);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.deployments, b.deployments);
-  EXPECT_EQ(a.algorithm, "KMeansPlace");
-  EXPECT_GT(a.served, 0);
-}
-
-TEST(KMeansPlace, SingleClusterCollapses) {
-  Scenario sc{
-      .grid = Grid(500, 500, 100),
-      .altitude_m = 60.0,
-      .uav_range_m = 150.0,
-      .channel = {},
-      .receiver = {},
-      .users = {},
-      .fleet = {{10, Radio{}, 120.0}, {10, Radio{}, 120.0}},
-  };
-  for (int i = 0; i < 8; ++i) {
-    sc.users.push_back({{240.0 + i, 240.0}, 1e3});
-  }
-  const CoverageModel cov(sc);
-  const Solution sol = baselines::solve(sc, cov, baselines::KMeansParams{});
-  validate_solution(sc, cov, sol);
-  EXPECT_EQ(sol.served, 8);  // the pile fits one UAV's capacity? 8 <= 10 ✓
-}
-
-TEST(KMeansPlace, NoUsers) {
-  Scenario sc{
-      .grid = Grid(300, 300, 100),
-      .altitude_m = 60.0,
-      .uav_range_m = 150.0,
-      .channel = {},
-      .receiver = {},
-      .users = {},
-      .fleet = {{5, Radio{}, 120.0}},
-  };
-  const CoverageModel cov(sc);
-  const Solution sol = baselines::solve(sc, cov, baselines::KMeansParams{});
-  validate_solution(sc, cov, sol);
-  EXPECT_EQ(sol.served, 0);
 }
 
 }  // namespace
