@@ -42,6 +42,11 @@ no-unbounded-wait
                  wait terminates (a deadline, a finite attempt ladder, a
                  shutdown path).  Other directories are out of scope — the
                  service layer is the one that owns job deadlines.
+unused-header    Every header under src/ must be included by some file under
+                 src/, bench/, examples/ or perfbench/src/ other than its
+                 own .cpp; a header only its tests reach is dead code.
+                 Test-only oracle headers opt out on their `#pragma once`
+                 line.
 
 Suppression: append `// lint:allow <rule> -- <reason>` on the offending
 line, or place it alone on the line directly above.  A reason is mandatory.
@@ -60,7 +65,7 @@ import sys
 from pathlib import Path
 
 RULES = ("nondeterminism", "naked-new", "metric-names", "include-hygiene",
-         "concurrency-discipline", "no-unbounded-wait")
+         "concurrency-discipline", "no-unbounded-wait", "unused-header")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\s+([a-z-]+)\s+--\s+\S")
 
@@ -86,6 +91,10 @@ ATOMIC_INVARIANT_RE = re.compile(r"//\s*atomic-invariant:\s*\S")
 # declarations and definitions of methods *named* wait don't trip it).
 WAIT_CALL_RE = re.compile(r"(?:\.|->)\s*wait(?:_idle)?\s*\(")
 DEADLINE_COMMENT_RE = re.compile(r"//\s*deadline:\s*\S")
+
+# Trees whose includes keep a src/ header alive (tests/ deliberately not).
+HEADER_USER_DIRS = ("src", "bench", "examples", "perfbench/src")
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
 
 METRIC_CALL_RE = re.compile(
     r'obs::(?:counter|gauge|histogram)\s*\(\s*"([^"]+)"\s*\)')
@@ -396,6 +405,45 @@ def check_include_hygiene(root: Path, compile_headers: bool) -> list[Finding]:
     return findings
 
 
+def check_unused_header(root: Path) -> list[Finding]:
+    """Every src/ header has an includer besides its own .cpp."""
+    src = root / "src"
+    included_by: dict[str, set[str]] = {}
+    for top in HEADER_USER_DIRS:
+        tree = root / top
+        if not tree.is_dir():
+            continue
+        for path in sorted(tree.rglob("*")):
+            if path.suffix not in (".hpp", ".cpp") or not path.is_file():
+                continue
+            for inc in QUOTED_INCLUDE_RE.findall(path.read_text()):
+                # Quoted includes resolve against the including file's
+                # directory first, then against src/ (the include root).
+                for base in (path.parent, src):
+                    target = (base / inc).resolve()
+                    included_by.setdefault(target.as_posix(), set()).add(
+                        path.resolve().as_posix())
+    findings: list[Finding] = []
+    for header in (p for p in iter_src_files(root) if p.suffix == ".hpp"):
+        own_cpp = header.with_suffix(".cpp").resolve().as_posix()
+        users = included_by.get(header.resolve().as_posix(), set()) - {own_cpp}
+        if users:
+            continue
+        text = header.read_text()
+        lines = text.splitlines()
+        lineno = next((i for i, line in enumerate(lines, start=1)
+                       if line.strip().startswith("#pragma once")), 1)
+        if lineno in suppressed_lines(text, "unused-header"):
+            continue
+        findings.append(Finding(
+            header, lineno, "unused-header",
+            "no file under " + ", ".join(f"{d}/" for d in HEADER_USER_DIRS)
+            + " includes this header (its own .cpp and tests/ do not "
+            "count); delete it or mark a test oracle with "
+            "`// lint:allow unused-header -- test oracle`"))
+    return findings
+
+
 def run_rules(root: Path, rules, compile_headers: bool) -> list[Finding]:
     findings: list[Finding] = []
     if "nondeterminism" in rules:
@@ -410,6 +458,8 @@ def run_rules(root: Path, rules, compile_headers: bool) -> list[Finding]:
         findings += check_concurrency_discipline(root)
     if "no-unbounded-wait" in rules:
         findings += check_no_unbounded_wait(root)
+    if "unused-header" in rules:
+        findings += check_unused_header(root)
     return findings
 
 

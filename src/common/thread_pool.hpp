@@ -6,8 +6,8 @@
 // die silently on a worker).
 //
 // Deliberately minimal: no futures, no task priorities, no work stealing.
-// The solver's unit of work (one seed subset) is coarse enough that a
-// single mutex-protected queue never becomes the bottleneck, and the
+// The solver submits one task per search worker, so a single
+// mutex-protected queue never becomes the bottleneck, and the
 // deterministic reduction happens in caller code after wait_idle().
 #pragma once
 

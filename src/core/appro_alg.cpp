@@ -73,8 +73,7 @@ struct DeadlineMonitor {
   double budget_s_;
   // atomic-invariant: monotonic false→true latch; relaxed order is enough
   // because a late-observed flip only delays a worker's wind-down by one
-  // subset, never changes which subsets count as evaluated (the claim
-  // order itself is serialized through the `next` ticket below).
+  // subset; which ranks a worker owns is fixed by rank % workers.
   std::atomic<bool> expired_{false};
 };
 
@@ -94,7 +93,9 @@ void audit_greedy_round(const IncrementalAssignment& ia,
 
 /// Greedy submodular maximization under M1 ∩ M2 for one seed subset.
 /// Returns the chosen locations in deployment order (UAVs are taken from
-/// `uav_order` front to back, i.e. capacity descending).
+/// `uav_order` front to back, i.e. capacity descending).  Lazy and plain
+/// greedy differ only in how a round picks its location; plain greedy is
+/// kept as the oracle the lazy pick is tested against.
 std::vector<LocationId> greedy_place(
     IncrementalAssignment& ia, const CoverageModel& coverage,
     const std::vector<LocationId>& pool, HopBudgetMatroid& m2,
@@ -102,100 +103,88 @@ std::vector<LocationId> greedy_place(
     bool audit, std::int64_t* probes, DeadlineMonitor* deadline) {
   std::vector<LocationId> chosen;
   chosen.reserve(static_cast<std::size_t>(l_max));
-  std::vector<bool> taken;  // indexed by position in `pool`
+  std::vector<bool> taken(pool.size(), false);  // indexed by position in `pool`
 
+  // Lazy mode: max-heap of (stale upper bound, pool index).  Stale bounds
+  // remain valid across rounds: gains shrink as the set grows (submodular)
+  // and as capacities shrink (UAVs are deployed largest-first).
+  std::priority_queue<std::pair<std::int64_t, std::int32_t>> heap;
   if (lazy) {
-    // Max-heap of (stale upper bound, pool index).  Stale bounds remain
-    // valid across iterations: gains shrink as the set grows (submodular)
-    // and as capacities shrink (UAVs are deployed largest-first).
-    std::priority_queue<std::pair<std::int64_t, std::int32_t>> heap;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       heap.emplace(coverage.max_coverage(pool[i]),
                    static_cast<std::int32_t>(i));
     }
-    taken.assign(pool.size(), false);
-    for (std::int32_t k = 0; k < l_max && !heap.empty(); ++k) {
-      // Cooperative deadline: a truncated greedy prefix is still a valid
-      // (independent, feasible) placement, so stopping here is safe.
-      if (deadline != nullptr && deadline->expired()) break;
-      const UavId uav = uav_order[static_cast<std::size_t>(k)];
-      LocationId pick = kInvalidLocation;
-      std::int32_t pick_idx = -1;
-      while (!heap.empty()) {
-        const auto [bound, idx] = heap.top();
-        heap.pop();
-        const LocationId loc = pool[static_cast<std::size_t>(idx)];
-        if (taken[static_cast<std::size_t>(idx)]) continue;
-        // Once the hop quotas reject a location they reject it forever
-        // (counters only grow), so drop it permanently.
-        if (!m2.can_add(loc)) continue;
-        const std::int64_t gain = ia.probe(uav, loc);
-        ++*probes;
-        UAVCOV_DCHECK(gain <= bound);
-        // Accept when no remaining entry can beat (gain, idx) in
-        // (value, index) lexicographic order — this reproduces exactly the
-        // plain greedy's largest-index-among-argmax winner.
-        const bool accept =
-            heap.empty() || gain > heap.top().first ||
-            (gain == heap.top().first && idx > heap.top().second);
-        if (accept) {
-          pick = loc;
-          pick_idx = idx;
-          break;
-        }
-        // Stale bound refreshed; retry against the rest of the heap.
-        heap.emplace(gain, idx);
+  }
+  // Both picks return a pool index, or -1 when no feasible location
+  // remains.
+  const auto lazy_pick = [&](UavId uav) -> std::int32_t {
+    while (!heap.empty()) {
+      const auto [bound, idx] = heap.top();
+      heap.pop();
+      const LocationId loc = pool[static_cast<std::size_t>(idx)];
+      if (taken[static_cast<std::size_t>(idx)]) continue;
+      // Once the hop quotas reject a location they reject it forever
+      // (counters only grow), so drop it permanently.
+      if (!m2.can_add(loc)) continue;
+      const std::int64_t gain = ia.probe(uav, loc);
+      ++*probes;
+      UAVCOV_DCHECK(gain <= bound);
+      // Accept when no remaining entry can beat (gain, idx) in
+      // (value, index) lexicographic order — this reproduces exactly the
+      // plain greedy's largest-index-among-argmax winner.
+      if (heap.empty() || gain > heap.top().first ||
+          (gain == heap.top().first && idx > heap.top().second)) {
+        return idx;
       }
-      if (pick == kInvalidLocation) break;  // no feasible location remains
-      ia.deploy(uav, pick);
-      m2.add(pick);
-      taken[static_cast<std::size_t>(pick_idx)] = true;
-      chosen.push_back(pick);
-      if (audit) {
-        audit_greedy_round(ia, m2, chosen,
-                           static_cast<std::int32_t>(uav_order.size()));
+      // Stale bound refreshed; retry against the rest of the heap.
+      heap.emplace(gain, idx);
+    }
+    return -1;
+  };
+  // Plain greedy probes every feasible pool entry each round.
+  const auto plain_pick = [&](UavId uav) -> std::int32_t {
+    std::int64_t best_gain = -1;
+    std::int32_t best_idx = -1;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (taken[i]) continue;
+      const LocationId loc = pool[i];
+      if (!m2.can_add(loc)) continue;
+      const std::int64_t gain = ia.probe(uav, loc);
+      ++*probes;
+      // `>=` keeps the largest pool index among ties — the same winner
+      // the lazy heap (max by bound, then by index) accepts, so both
+      // greedy modes produce identical deployments.
+      if (gain >= best_gain) {
+        best_gain = gain;
+        best_idx = static_cast<std::int32_t>(i);
       }
     }
-  } else {
-    // Plain greedy: probe every feasible pool entry each iteration.
-    taken.assign(pool.size(), false);
-    for (std::int32_t k = 0; k < l_max; ++k) {
-      if (deadline != nullptr && deadline->expired()) break;
-      const UavId uav = uav_order[static_cast<std::size_t>(k)];
-      std::int64_t best_gain = -1;
-      std::int32_t best_idx = -1;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (taken[i]) continue;
-        const LocationId loc = pool[i];
-        if (!m2.can_add(loc)) continue;
-        const std::int64_t gain = ia.probe(uav, loc);
-        ++*probes;
-        // `>=` keeps the largest pool index among ties — the same winner
-        // the lazy heap (max by bound, then by index) accepts, so both
-        // greedy modes produce identical deployments.
-        if (gain >= best_gain) {
-          best_gain = gain;
-          best_idx = static_cast<std::int32_t>(i);
-        }
-      }
-      if (best_idx < 0) break;
-      const LocationId loc = pool[static_cast<std::size_t>(best_idx)];
-      ia.deploy(uav, loc);
-      m2.add(loc);
-      taken[static_cast<std::size_t>(best_idx)] = true;
-      chosen.push_back(loc);
-      if (audit) {
-        audit_greedy_round(ia, m2, chosen,
-                           static_cast<std::int32_t>(uav_order.size()));
-      }
+    return best_idx;
+  };
+
+  for (std::int32_t k = 0; k < l_max && !(lazy && heap.empty()); ++k) {
+    // Cooperative deadline: a truncated greedy prefix is still a valid
+    // (independent, feasible) placement, so stopping here is safe.
+    if (deadline != nullptr && deadline->expired()) break;
+    const UavId uav = uav_order[static_cast<std::size_t>(k)];
+    const std::int32_t idx = lazy ? lazy_pick(uav) : plain_pick(uav);
+    if (idx < 0) break;
+    const LocationId loc = pool[static_cast<std::size_t>(idx)];
+    ia.deploy(uav, loc);
+    m2.add(loc);
+    taken[static_cast<std::size_t>(idx)] = true;
+    chosen.push_back(loc);
+    if (audit) {
+      audit_greedy_round(ia, m2, chosen,
+                         static_cast<std::int32_t>(uav_order.size()));
     }
   }
   return chosen;
 }
 
-/// Read-only inputs shared by every subset evaluation — and, on the
-/// parallel path, by every worker thread concurrently.  Nothing reachable
-/// from here is mutated during the search.
+/// Read-only inputs shared by every subset evaluation — and, with more
+/// than one worker, by every worker thread concurrently.  Nothing
+/// reachable from here is mutated during the search.
 struct SearchContext {
   const Scenario& scenario;
   const CoverageModel& coverage;
@@ -211,9 +200,8 @@ struct SearchContext {
 };
 
 /// Mutable solver state owned by exactly one worker: the live flow network
-/// (whose FlowProbe journals must never cross threads), the hop-distance
-/// scratch, local counters, and the worker's running best.  The parallel
-/// engine gives each thread its own instance; the serial path uses one.
+/// (whose checkpoint journal must never cross threads), the hop-distance
+/// scratch, local counters, and the worker's running best.
 struct WorkerState {
   explicit WorkerState(const SearchContext& ctx)
       : ia(ctx.scenario, ctx.coverage),
@@ -222,6 +210,7 @@ struct WorkerState {
   IncrementalAssignment ia;
   std::vector<std::int32_t> hop;
   std::int64_t probes = 0;
+  std::int64_t subsets_evaluated = 0;
   std::int64_t subsets_stitched = 0;
   std::int64_t best_served = -1;
   std::int64_t best_rank = -1;  // global enumeration index of the best
@@ -231,10 +220,11 @@ struct WorkerState {
 /// Evaluate one seed subset (positions into ctx.candidates).  `rank` is
 /// the subset's global enumeration index; recording it with the worker's
 /// best lets the reduction break served-count ties by enumeration order,
-/// which makes the parallel search bit-identical to the serial one.
+/// which makes the result independent of the worker count.
 void evaluate_subset(const SearchContext& ctx, WorkerState& w,
                      std::span<const std::int32_t> subset,
                      std::int64_t rank) {
+  ++w.subsets_evaluated;
   // Multi-source hop distances d(v) = min over seeds.
   std::fill(w.hop.begin(), w.hop.end(), kUnreachable);
   for (std::int32_t idx : subset) {
@@ -249,10 +239,12 @@ void evaluate_subset(const SearchContext& ctx, WorkerState& w,
   std::vector<LocationId> chosen;
   {
     const obs::ScopedTimer timer(appro_metrics().greedy_seconds);
+    // Subset 0 runs its greedy to completion, so a binding budget still
+    // yields a non-empty solution.
     chosen =
         greedy_place(w.ia, ctx.coverage, ctx.candidates, m2, ctx.uav_order,
                      ctx.plan.L_max, ctx.params.lazy_greedy, ctx.audit,
-                     &w.probes, ctx.deadline);
+                     &w.probes, rank == 0 ? nullptr : ctx.deadline);
   }
   const auto relay = [&] {
     const obs::ScopedTimer timer(appro_metrics().stitch_seconds);
@@ -287,9 +279,8 @@ void evaluate_subset(const SearchContext& ctx, WorkerState& w,
 /// pairwise-hop pruning (prefix property: every pair in a kept subset is
 /// within L_max − 1 hops, so pruning applies as soon as a prefix violates
 /// it).  Calls `sink` with each surviving subset in the fixed global
-/// order; stops early when sink returns false.  Both the serial search
-/// and the parallel work-list builder run this same enumerator, so ranks
-/// agree by construction.
+/// order; stops early when sink returns false.  Every search worker runs
+/// this same enumerator, so ranks agree by construction.
 template <typename Sink>
 void enumerate_subsets(const SearchContext& ctx, std::int32_t s,
                        Sink&& sink) {
@@ -430,117 +421,58 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
                           cand_dist, g,        plan,      uav_order,
                           K,         audit,    deadline.get()};
 
-  const std::int32_t requested = ThreadPool::resolve(params.threads);
+  // One search loop for every thread count (DESIGN.md §7).  Worker `wi`
+  // walks the whole enumeration and evaluates rank r iff
+  // r % workers == wi; the deadline is checked before every rank but 0.
+  const std::int32_t workers = ThreadPool::resolve(params.threads);
+  std::vector<std::unique_ptr<WorkerState>> states(
+      static_cast<std::size_t>(workers));
+  const auto search = [&](std::int32_t wi) {
+    // The state lives on the worker's thread: its flow network and scratch
+    // never touch another thread.  Slot `wi` is written by this worker
+    // only and read after the search ends (wait_idle() synchronizes).
+    auto& w = states[static_cast<std::size_t>(wi)];
+    w = std::make_unique<WorkerState>(ctx);
+    std::int64_t rank = 0;
+    enumerate_subsets(ctx, s, [&](std::span<const std::int32_t> subset) {
+      const std::int64_t r = rank++;
+      if (params.max_seed_subsets > 0 && r >= params.max_seed_subsets) {
+        return false;
+      }
+      if (r % workers != wi) return true;
+      if (r > 0 && ctx.deadline != nullptr && ctx.deadline->expired()) {
+        return false;
+      }
+      evaluate_subset(ctx, *w, subset, r);
+      return true;
+    });
+  };
+  if (workers == 1) {
+    search(0);
+  } else {
+    ThreadPool pool(workers);
+    for (std::int32_t wi = 0; wi < workers; ++wi) {
+      pool.submit([&search, wi] { search(wi); });
+    }
+    pool.wait_idle();  // rethrows the first worker AuditError, if any
+  }
 
+  // Deterministic reduction: highest served count wins; ties go to the
+  // smallest enumeration rank (each worker only replaces its best on a
+  // strict improvement, so its best is its smallest-rank maximum).
   std::int64_t best_served = -1;
   std::int64_t best_rank = -1;
   std::vector<Deployment> best_deployments;
-  // Any worker's state can host the leftover-fill phase afterwards (each
-  // evaluation ends with end_scope, so the flow network is back to empty).
-  std::unique_ptr<WorkerState> fill_state;
-
-  if (requested <= 1) {
-    // Serial path: stream subsets straight out of the enumerator, exactly
-    // as before the parallel engine existed.
-    auto state = std::make_unique<WorkerState>(ctx);
-    std::int64_t rank = 0;
-    enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
-      // Deadline check between subsets; the first subset always runs so a
-      // binding budget still yields a non-trivial solution.
-      if (rank > 0 && ctx.deadline != nullptr && ctx.deadline->expired()) {
-        return false;
-      }
-      ++st.subsets_enumerated;
-      ++st.subsets_evaluated;
-      evaluate_subset(ctx, *state, subset, rank);
-      ++rank;
-      return !(params.max_seed_subsets > 0 &&
-               st.subsets_evaluated >= params.max_seed_subsets);
-    });
-    best_served = state->best_served;
-    best_rank = state->best_rank;
-    best_deployments = std::move(state->best_deployments);
-    st.probes += state->probes;
-    st.subsets_stitched += state->subsets_stitched;
-    fill_state = std::move(state);
-  } else {
-    // Parallel path.  Materialize the work list first — enumeration is
-    // cheap next to evaluation (each evaluation runs a full greedy with
-    // flow probes) and a fixed list gives every subset its global rank up
-    // front.  The budget truncates the list to exactly the subsets the
-    // serial path would have evaluated.
-    std::vector<std::int32_t> flat;
-    enumerate_subsets(ctx, s, [&](const std::vector<std::int32_t>& subset) {
-      flat.insert(flat.end(), subset.begin(), subset.end());
-      ++st.subsets_enumerated;
-      return !(params.max_seed_subsets > 0 &&
-               st.subsets_enumerated >= params.max_seed_subsets);
-    });
-    const std::int64_t total = st.subsets_enumerated;
-    st.subsets_evaluated = total;
-
-    if (total > 0) {
-      const std::int32_t workers = static_cast<std::int32_t>(
-          std::min<std::int64_t>(requested, total));
-      // Lock-free reduction state: slot `wi` is written by exactly one
-      // worker (publication to this thread happens-before wait_idle()
-      // returns, through the pool's internal mutex); the reduction below
-      // reads the slots single-threaded afterwards, so no lock is needed.
-      std::vector<std::unique_ptr<WorkerState>> states(
-          static_cast<std::size_t>(workers));
-      // atomic-invariant: fetch_add ticket dispenser — every rank in
-      // [0, total) is claimed by exactly one worker, so no subset is
-      // evaluated twice or skipped; relaxed order suffices because each
-      // worker only consumes the value it drew itself.
-      std::atomic<std::int64_t> next{0};
-      // atomic-invariant: count of claims that proceeded to evaluation;
-      // monotone increments only, read once after wait_idle() (which
-      // synchronizes-with every worker's increments via the pool's mutex).
-      std::atomic<std::int64_t> evaluated{0};
-      ThreadPool pool(workers);
-      for (std::int32_t wi = 0; wi < workers; ++wi) {
-        pool.submit([&ctx, &states, &next, &evaluated, &flat, s, total, wi] {
-          // Per-worker state lives on the worker thread: its DinicFlow,
-          // probe journals, and scratch never touch another thread.
-          auto state = std::make_unique<WorkerState>(ctx);
-          for (;;) {
-            const std::int64_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total) break;
-            // Cooperative deadline: stop claiming work once the budget is
-            // spent, except for subset 0 — someone always evaluates it so
-            // a binding budget still yields a non-trivial solution.
-            if (i > 0 && ctx.deadline != nullptr && ctx.deadline->expired())
-              break;
-            evaluated.fetch_add(1, std::memory_order_relaxed);
-            evaluate_subset(
-                ctx, *state,
-                std::span<const std::int32_t>(
-                    flat.data() + i * s, static_cast<std::size_t>(s)),
-                i);
-          }
-          states[static_cast<std::size_t>(wi)] = std::move(state);
-        });
-      }
-      pool.wait_idle();  // rethrows the first worker AuditError, if any
-      st.subsets_evaluated = evaluated.load(std::memory_order_relaxed);
-
-      // Deterministic reduction: highest served count wins; ties go to
-      // the smallest enumeration rank — the subset the serial loop would
-      // have kept (it only replaces on a strict improvement).
-      for (auto& state : states) {
-        if (!state) continue;
-        st.probes += state->probes;
-        st.subsets_stitched += state->subsets_stitched;
-        if (state->best_served > best_served ||
-            (state->best_served == best_served && state->best_served >= 0 &&
-             state->best_rank < best_rank)) {
-          best_served = state->best_served;
-          best_rank = state->best_rank;
-          best_deployments = state->best_deployments;
-        }
-        if (!fill_state) fill_state = std::move(state);
-      }
+  for (auto& w : states) {
+    st.probes += w->probes;
+    st.subsets_evaluated += w->subsets_evaluated;
+    st.subsets_stitched += w->subsets_stitched;
+    if (w->best_served > best_served ||
+        (w->best_served == best_served && w->best_served >= 0 &&
+         w->best_rank < best_rank)) {
+      best_served = w->best_served;
+      best_rank = w->best_rank;
+      best_deployments = std::move(w->best_deployments);
     }
   }
   lap(st.phases.search_s);
@@ -550,8 +482,8 @@ Solution appro_alg(const Scenario& scenario, const CoverageModel& coverage,
     // Engineering extension (see ApproAlgParams::fill_leftover_uavs): the
     // paper grounds the K − q_j UAVs that neither serve nor relay; we
     // spend them on the winning network's frontier (core/planner.hpp).
-    if (!fill_state) fill_state = std::make_unique<WorkerState>(ctx);
-    IncrementalAssignment& ia = fill_state->ia;
+    // Worker 0's network is empty again: every evaluation ends its scope.
+    IncrementalAssignment& ia = states.front()->ia;
     const auto scope = ia.begin_scope();
     st.probes += planner::fill_frontier(ia, g, coverage, best_deployments,
                                         uav_order)

@@ -52,8 +52,9 @@ struct ApproAlgParams {
   /// subsets (0 = unlimited).  Deterministic: enumeration order is fixed.
   std::int64_t max_seed_subsets = 0;
   /// Worker threads for the seed-subset search: 0 = hardware concurrency,
-  /// 1 = the serial path, N > 1 = a fixed pool of N workers.  The parallel
-  /// search is bit-identical to the serial one (each worker owns its flow
+  /// 1 = the caller's thread, N > 1 = a fixed pool of N workers, worker i
+  /// evaluating the subsets whose enumeration index is i mod N.  Every
+  /// count gives a bit-identical result (each worker owns its flow
   /// network; the reduction is deterministic — best served count wins,
   /// ties broken by enumeration index), so this is purely a wall-clock
   /// knob.  See DESIGN.md §7.

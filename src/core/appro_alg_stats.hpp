@@ -26,8 +26,7 @@ struct ApproAlgStats {
   SegmentPlan plan;                   ///< Algorithm 1 output used.
   ApproAlgPhases phases;              ///< wall-clock per solver phase.
   std::int64_t candidates = 0;        ///< candidate locations after pruning.
-  std::int64_t subsets_enumerated = 0;///< seed subsets generated.
-  std::int64_t subsets_evaluated = 0; ///< subsets surviving all filters.
+  std::int64_t subsets_evaluated = 0; ///< seed subsets greedy ran on.
   std::int64_t subsets_stitched = 0;  ///< subsets with a <= K stitching.
   std::int64_t probes = 0;            ///< marginal-gain flow probes.
   double seconds = 0.0;               ///< end-to-end wall clock.

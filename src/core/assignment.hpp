@@ -8,8 +8,7 @@
 //   * IncrementalAssignment — keeps a live flow network so Algorithm 2 can
 //     probe "what if one more UAV were deployed?" in O(C_k · E') time and
 //     commit the winner, instead of re-solving from scratch (the paper's
-//     complexity analysis assumes exactly this kind of reuse is absent —
-//     we keep a naive mode for benchmarking the difference).
+//     complexity analysis assumes exactly this kind of reuse is absent).
 #pragma once
 
 #include <span>

@@ -5,6 +5,7 @@
 
 #include "channel/link_budget.hpp"
 #include "common/check.hpp"
+#include "core/planner.hpp"
 #include "graph/articulation.hpp"
 
 namespace uavcov::eval {
@@ -80,12 +81,12 @@ SolutionMetrics compute_metrics(const Scenario& scenario,
   const auto q = static_cast<NodeId>(solution.deployments.size());
   std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId i = 0; i < q; ++i) {
-    const Vec2 a = scenario.grid.center(
-        solution.deployments[static_cast<std::size_t>(i)].loc);
     for (NodeId j = i + 1; j < q; ++j) {
-      const Vec2 b = scenario.grid.center(
-          solution.deployments[static_cast<std::size_t>(j)].loc);
-      if (distance(a, b) <= scenario.uav_range_m) edges.emplace_back(i, j);
+      if (planner::linked(
+              scenario, solution.deployments[static_cast<std::size_t>(i)].loc,
+              solution.deployments[static_cast<std::size_t>(j)].loc)) {
+        edges.emplace_back(i, j);
+      }
     }
   }
   const Graph network = Graph::from_edges(q, edges);

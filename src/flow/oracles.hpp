@@ -1,6 +1,6 @@
 // Brute-force flow references for tests: exhaustive maximum "assignment"
 // on tiny bipartite instances, checked against Dinic.
-#pragma once
+#pragma once  // lint:allow unused-header -- test oracle
 
 #include <cstdint>
 #include <vector>

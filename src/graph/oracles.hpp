@@ -1,7 +1,7 @@
 // Naive reference implementations ("oracles") used only by tests to
 // cross-check the production graph algorithms on small random instances.
 // Deliberately simple and obviously correct; never used on hot paths.
-#pragma once
+#pragma once  // lint:allow unused-header -- test oracle
 
 #include <vector>
 

@@ -13,7 +13,6 @@
 #include "core/redeploy.hpp"
 #include "core/refine.hpp"
 #include "core/relay.hpp"
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 
@@ -182,18 +181,13 @@ bool RepairController::repair_locally(Solution& solution,
   // to the component-drop path below.
   bool connected = false;
   for (std::int32_t iter = 0; iter <= fleet; ++iter) {
-    std::vector<CellId> locs;
-    std::vector<NodeId> loc_nodes;
-    locs.reserve(solution.deployments.size());
-    loc_nodes.reserve(solution.deployments.size());
-    for (const Deployment& d : solution.deployments) {
-      locs.push_back(d.loc);
-      loc_nodes.push_back(to_node(d.loc));
-    }
-    if (locs.size() <= 1 || is_induced_subgraph_connected(g, loc_nodes)) {
+    if (deployments_connected(degraded_, solution.deployments)) {
       connected = true;
       break;
     }
+    std::vector<CellId> locs;
+    locs.reserve(solution.deployments.size());
+    for (const Deployment& d : solution.deployments) locs.push_back(d.loc);
     const std::optional<RelayPlan> plan = stitch_connected(g, locs);
     if (!plan) break;  // survivors mutually unreachable on the grid
     const std::size_t relay_count =

@@ -11,7 +11,6 @@
 #include "core/coverage.hpp"
 #include "core/planner.hpp"
 #include "core/relay.hpp"
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 
@@ -170,43 +169,35 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
   // cells from spare UAVs (capacity-descending, deterministic); when the
   // plan is unrealizable or the spares run out, keep the component whose
   // Lemma-1 assignment serves the most users and drop the rest.
-  if (deployments.size() > 1) {
+  if (!deployments_connected(scenario, deployments)) {
     const Graph g = build_location_graph(scenario.grid, scenario.uav_range_m);
-    std::vector<NodeId> nodes;
-    nodes.reserve(deployments.size());
-    for (const Deployment& d : deployments) nodes.push_back(to_node(d.loc));
-    if (!is_induced_subgraph_connected(g, nodes)) {
-      std::vector<UavId> spares;
-      for (const UavId k : scenario.uavs_by_capacity_desc()) {
-        if (!uav_used[static_cast<std::size_t>(k.value())]) {
-          spares.push_back(k);
-        }
+    std::vector<UavId> spares;
+    for (const UavId k : scenario.uavs_by_capacity_desc()) {
+      if (!uav_used[static_cast<std::size_t>(k.value())]) {
+        spares.push_back(k);
       }
-      std::vector<CellId> chosen;
-      chosen.reserve(deployments.size());
-      for (const Deployment& d : deployments) chosen.push_back(d.loc);
-      const std::optional<RelayPlan> relay_plan = stitch_connected(g, chosen);
-      if (relay_plan.has_value() &&
-          relay_plan->relay_count <=
-              static_cast<std::int32_t>(spares.size())) {
-        for (std::size_t i = chosen.size(); i < relay_plan->nodes.size();
-             ++i) {
-          const CellId cell = relay_plan->nodes[i];
-          const UavId uav = spares[i - chosen.size()];
-          uav_used[static_cast<std::size_t>(uav.value())] = true;
-          deployments.push_back(Deployment{uav, cell});
-        }
-        out.stats.relays_staffed = relay_plan->relay_count;
-      } else {
-        std::vector<std::vector<Deployment>> components =
-            planner::deployment_components(scenario, deployments);
-        const std::size_t kept =
-            planner::max_served_component(scenario, coverage, components)
-                .index;
-        out.stats.components_dropped =
-            static_cast<std::int32_t>(components.size()) - 1;
-        deployments = std::move(components[kept]);
+    }
+    std::vector<CellId> chosen;
+    chosen.reserve(deployments.size());
+    for (const Deployment& d : deployments) chosen.push_back(d.loc);
+    const std::optional<RelayPlan> relay_plan = stitch_connected(g, chosen);
+    if (relay_plan.has_value() &&
+        relay_plan->relay_count <= static_cast<std::int32_t>(spares.size())) {
+      for (std::size_t i = chosen.size(); i < relay_plan->nodes.size(); ++i) {
+        const CellId cell = relay_plan->nodes[i];
+        const UavId uav = spares[i - chosen.size()];
+        uav_used[static_cast<std::size_t>(uav.value())] = true;
+        deployments.push_back(Deployment{uav, cell});
       }
+      out.stats.relays_staffed = relay_plan->relay_count;
+    } else {
+      std::vector<std::vector<Deployment>> components =
+          planner::deployment_components(scenario, deployments);
+      const std::size_t kept =
+          planner::max_served_component(scenario, coverage, components).index;
+      out.stats.components_dropped =
+          static_cast<std::int32_t>(components.size()) - 1;
+      deployments = std::move(components[kept]);
     }
   }
 

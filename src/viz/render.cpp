@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/check.hpp"
+#include "core/planner.hpp"
 
 namespace uavcov::viz {
 
@@ -45,8 +46,9 @@ std::string render_deployment(const Scenario& scenario,
     for (std::size_t i = 0; i < solution.deployments.size(); ++i) {
       const Vec2 a = scenario.grid.center(solution.deployments[i].loc);
       for (std::size_t j = i + 1; j < solution.deployments.size(); ++j) {
-        const Vec2 b = scenario.grid.center(solution.deployments[j].loc);
-        if (distance(a, b) <= scenario.uav_range_m) {
+        if (planner::linked(scenario, solution.deployments[i].loc,
+                            solution.deployments[j].loc)) {
+          const Vec2 b = scenario.grid.center(solution.deployments[j].loc);
           canvas.line(a.x, a.y, b.x, b.y, "#40508a", 1.6, 0.8);
         }
       }

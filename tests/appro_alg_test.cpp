@@ -200,8 +200,8 @@ TEST(ApproAlg, StatsArepopulated) {
   params.s = 2;
   (void)appro_alg(sc, params, &stats);
   EXPECT_GT(stats.candidates, 0);
-  EXPECT_GT(stats.subsets_enumerated, 0);
-  EXPECT_GE(stats.subsets_enumerated, stats.subsets_evaluated);
+  EXPECT_GT(stats.subsets_evaluated, 0);
+  EXPECT_GE(stats.subsets_evaluated, stats.subsets_stitched);
   EXPECT_GT(stats.probes, 0);
   EXPECT_GT(stats.seconds, 0.0);
   EXPECT_EQ(stats.plan.s, 2);
@@ -231,7 +231,7 @@ TEST(ApproAlg, CandidateCapReducesSearch) {
   (void)appro_alg(sc, wide, &ws);
   (void)appro_alg(sc, narrow, &ns);
   EXPECT_LE(ns.candidates, 5);
-  EXPECT_LE(ns.subsets_enumerated, ws.subsets_enumerated);
+  EXPECT_LE(ns.subsets_evaluated, ws.subsets_evaluated);
 }
 
 TEST(ApproAlg, LeftoverFillNeverHurts) {

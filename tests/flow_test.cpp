@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "flow/dinic.hpp"
-#include "flow/incremental.hpp"
 #include "flow/oracles.hpp"
 
 namespace uavcov {
@@ -150,62 +149,10 @@ TEST(DinicCheckpoint, NestedScopesUnwindInOrder) {
   EXPECT_EQ(f.edge_count(), 2);
 }
 
-TEST(DinicCheckpoint, CommitKeepsChangesUnderOuterRollback) {
-  DinicFlow f;
-  const auto s = f.add_node();
-  const auto t = f.add_node();
-  f.add_edge(s, t, 1);
-  EXPECT_EQ(f.augment(s, t), 1);
-
-  const auto outer = f.checkpoint();
-  const auto inner = f.checkpoint();
-  f.add_edge(s, t, 2);
-  EXPECT_EQ(f.augment(s, t), 2);
-  f.commit(inner);                 // keep the inner changes...
-  f.rollback(outer);               // ...but outer rollback wipes them too
-  EXPECT_EQ(f.edge_count(), 2);
-  EXPECT_EQ(f.augment(s, t), 0);
-}
-
 TEST(DinicCheckpoint, RollbackWithoutCheckpointThrows) {
   DinicFlow f;
   DinicFlow::Checkpoint cp{};
   EXPECT_THROW(f.rollback(cp), ContractError);
-}
-
-TEST(FlowProbe, RaiiRollsBackAutomatically) {
-  DinicFlow f;
-  const auto s = f.add_node();
-  const auto t = f.add_node();
-  f.add_edge(s, t, 1);
-  f.augment(s, t);
-  {
-    FlowProbe probe(f);
-    f.add_edge(s, t, 9);
-    EXPECT_EQ(f.augment(s, t), 9);
-  }
-  EXPECT_EQ(f.edge_count(), 2);
-  EXPECT_EQ(f.augment(s, t), 0);
-}
-
-TEST(FlowProbe, CommitKeeps) {
-  DinicFlow f;
-  const auto s = f.add_node();
-  const auto t = f.add_node();
-  {
-    FlowProbe probe(f);
-    f.add_edge(s, t, 9);
-    f.augment(s, t);
-    probe.commit();
-  }
-  EXPECT_EQ(f.edge_count(), 2);
-}
-
-TEST(FlowProbe, DoubleCloseThrows) {
-  DinicFlow f;
-  FlowProbe probe(f);
-  probe.rollback();
-  EXPECT_THROW(probe.commit(), ContractError);
 }
 
 // Randomized: bipartite assignment instances solved by Dinic must match
@@ -252,9 +199,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowAssignmentRandom, testing::Range(0, 25));
 
 // Probe/rollback fuzz: interleave committed growth with rolled-back probes
 // and verify the final flow equals a from-scratch computation.
-class FlowProbeFuzz : public testing::TestWithParam<int> {};
+class DinicCheckpointFuzz : public testing::TestWithParam<int> {};
 
-TEST_P(FlowProbeFuzz, RollbackNeverLeaks) {
+TEST_P(DinicCheckpointFuzz, RollbackNeverLeaks) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7 + 3);
   DinicFlow live;
   const auto s = live.add_node();
@@ -301,7 +248,7 @@ TEST_P(FlowProbeFuzz, RollbackNeverLeaks) {
   EXPECT_EQ(live.augment(s, t), 0);  // live network is already maximal
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FlowProbeFuzz, testing::Range(0, 15));
+INSTANTIATE_TEST_SUITE_P(Seeds, DinicCheckpointFuzz, testing::Range(0, 15));
 
 }  // namespace
 }  // namespace uavcov

@@ -1,4 +1,4 @@
-// Tests for src/geometry: vectors, the hovering grid, the spatial index.
+// Tests for src/geometry: vectors and the hovering grid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "geometry/grid.hpp"
-#include "geometry/spatial_index.hpp"
 #include "geometry/vec.hpp"
 
 namespace uavcov {
@@ -122,51 +121,6 @@ TEST(Grid, AllCentersIndexedById) {
   for (const LocationId id : g.cells()) {
     EXPECT_EQ(centers[id.index()], g.center(id));
   }
-}
-
-class SpatialIndexRandom : public testing::TestWithParam<int> {};
-
-TEST_P(SpatialIndexRandom, MatchesBruteForce) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  const int n = 1 + static_cast<int>(rng.next_below(200));
-  std::vector<Vec2> points;
-  for (int i = 0; i < n; ++i) {
-    points.push_back({rng.uniform(-500, 500), rng.uniform(-500, 500)});
-  }
-  const double bucket = rng.uniform(20, 300);
-  const SpatialIndex index(points, bucket);
-  for (int q = 0; q < 20; ++q) {
-    const Vec2 query{rng.uniform(-600, 600), rng.uniform(-600, 600)};
-    const double radius = rng.uniform(0, 400);
-    auto fast = index.query_radius(query, radius);
-    std::sort(fast.begin(), fast.end());
-    std::vector<std::int32_t> slow;
-    for (int i = 0; i < n; ++i) {
-      if (distance(points[static_cast<std::size_t>(i)], query) <= radius) {
-        slow.push_back(i);
-      }
-    }
-    EXPECT_EQ(fast, slow);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SpatialIndexRandom, testing::Range(0, 12));
-
-TEST(SpatialIndex, EmptySetOfPoints) {
-  const SpatialIndex index({}, 100);
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(index.query_radius({0, 0}, 1000).empty());
-}
-
-TEST(SpatialIndex, NegativeCoordinatesWork) {
-  const SpatialIndex index({{-250, -250}, {250, 250}}, 100);
-  const auto hits = index.query_radius({-250, -250}, 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 0);
-}
-
-TEST(SpatialIndex, RejectsBadBucket) {
-  EXPECT_THROW(SpatialIndex({{0, 0}}, 0), ContractError);
 }
 
 }  // namespace

@@ -417,6 +417,7 @@ TEST(Deadline, BindingBudgetStillReturnsValidSolution) {
   const Solution sol = appro_alg(sc, coverage, params, &stats);
   EXPECT_TRUE(stats.deadline_hit);
   EXPECT_GE(stats.subsets_evaluated, 1);  // never gratuitously empty
+  EXPECT_GT(sol.served, 0);
   validate_solution(sc, coverage, sol);   // §II-C feasible regardless
 }
 
@@ -448,6 +449,7 @@ TEST(Deadline, BindingBudgetWorksInParallelToo) {
   const Solution sol = appro_alg(sc, coverage, params, &stats);
   EXPECT_TRUE(stats.deadline_hit);
   EXPECT_GE(stats.subsets_evaluated, 1);
+  EXPECT_GT(sol.served, 0);
   validate_solution(sc, coverage, sol);
 }
 
