@@ -47,6 +47,12 @@ unused-header    Every header under src/ must be included by some file under
                  own .cpp; a header only its tests reach is dead code.
                  Test-only oracle headers opt out on their `#pragma once`
                  line.
+single-codec     The checksummed section container and the record reader
+                 exist once, in the io codec (src/io/codec.{hpp,cpp}): the
+                 little-endian put/get helpers, the payload checksum, the
+                 section-table writer and parser with their layout
+                 constants, slurp, open_checked and next_record may not be
+                 defined anywhere else under src/.
 
 Suppression: append `// lint:allow <rule> -- <reason>` on the offending
 line, or place it alone on the line directly above.  A reason is mandatory.
@@ -65,7 +71,8 @@ import sys
 from pathlib import Path
 
 RULES = ("nondeterminism", "naked-new", "metric-names", "include-hygiene",
-         "concurrency-discipline", "no-unbounded-wait", "unused-header")
+         "concurrency-discipline", "no-unbounded-wait", "unused-header",
+         "single-codec")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\s+([a-z-]+)\s+--\s+\S")
 
@@ -95,6 +102,22 @@ DEADLINE_COMMENT_RE = re.compile(r"//\s*deadline:\s*\S")
 # Trees whose includes keep a src/ header alive (tests/ deliberately not).
 HEADER_USER_DIRS = ("src", "bench", "examples", "perfbench/src")
 QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+
+# The io codec and what only it may define: function definitions (a
+# return type, then the name and its parameter list) and the container's
+# layout constants.
+CODEC_FILES = ("src/io/codec.hpp", "src/io/codec.cpp")
+CODEC_FUNCTIONS = ("put_u32", "put_u64", "get_u32", "get_u64",
+                   "payload_checksum", "write_document", "parse_document",
+                   "slurp", "open_checked", "next_record")
+CODEC_CONSTANTS = ("kHeaderBytes", "kEntryBytes")
+CODEC_DEF_RE = re.compile(
+    r"^\s*(?:(?:static|inline)\s+)*"
+    r"(?!(?:return|else|throw|case|co_return|using)\b)"
+    r"[A-Za-z_][\w:]*(?:<[^()]*>)?[\s*&]+(?:\w+::)*"
+    r"(" + "|".join(CODEC_FUNCTIONS) + r")\s*\(")
+CODEC_CONST_RE = re.compile(
+    r"\bconstexpr\b[^=;]*\b(" + "|".join(CODEC_CONSTANTS) + r")\s*=")
 
 METRIC_CALL_RE = re.compile(
     r'obs::(?:counter|gauge|histogram)\s*\(\s*"([^"]+)"\s*\)')
@@ -444,6 +467,27 @@ def check_unused_header(root: Path) -> list[Finding]:
     return findings
 
 
+def check_single_codec(root: Path) -> list[Finding]:
+    findings: list[Finding] = []
+    for path in iter_src_files(root):
+        if rel(root, path) in CODEC_FILES:
+            continue
+        text = path.read_text()
+        code = strip_comments_and_strings(text)
+        allowed = suppressed_lines(text, "single-codec")
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            if lineno in allowed:
+                continue
+            m = CODEC_DEF_RE.search(line) or CODEC_CONST_RE.search(line)
+            if m:
+                findings.append(Finding(
+                    path, lineno, "single-codec",
+                    f"`{m.group(1)}` belongs to the io codec "
+                    "(src/io/codec.{hpp,cpp}); call the codec instead of "
+                    "copying it"))
+    return findings
+
+
 def run_rules(root: Path, rules, compile_headers: bool) -> list[Finding]:
     findings: list[Finding] = []
     if "nondeterminism" in rules:
@@ -460,6 +504,8 @@ def run_rules(root: Path, rules, compile_headers: bool) -> list[Finding]:
         findings += check_no_unbounded_wait(root)
     if "unused-header" in rules:
         findings += check_unused_header(root)
+    if "single-codec" in rules:
+        findings += check_single_codec(root)
     return findings
 
 

@@ -17,6 +17,7 @@
 #include "fuzz/scenario_decoder.hpp"
 #include "fuzz/stream_decoder.hpp"
 #include "io/serialize.hpp"
+#include "io/trace.hpp"
 #include "resilience/impact.hpp"
 #include "resilience/repair.hpp"
 #include "service/service.hpp"
@@ -107,6 +108,8 @@ std::string serialized(const T& value, io::Format format) {
   std::ostringstream out;
   if constexpr (std::is_same_v<T, Scenario>) {
     io::save_scenario(out, value, format);
+  } else if constexpr (std::is_same_v<T, stream::ChurnTrace>) {
+    io::save_trace(out, value, format);
   } else {
     io::save_solution(out, value, format);
   }
@@ -285,6 +288,19 @@ void run_serialize_roundtrip_harness(const std::uint8_t* data,
     try {
       std::istringstream in(text);
       (void)io::load_solution(in, /*user_count=*/16);
+    } catch (const ContractError&) {
+    } catch (const std::invalid_argument&) {
+    }
+    try {
+      // load_trace sniffs "UAVCTRC1" the same way; a trace that parses
+      // must also re-save to a fixed point in both formats.
+      const stream::ChurnTrace trace = io::load_trace(std::string_view(text));
+      for (const io::Format format : {io::Format::kText, io::Format::kBinary}) {
+        const std::string saved = serialized(trace, format);
+        require(serialized(io::load_trace(std::string_view(saved)), format) ==
+                    saved,
+                "re-serialized trace is not a fixed point");
+      }
     } catch (const ContractError&) {
     } catch (const std::invalid_argument&) {
     }

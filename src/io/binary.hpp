@@ -13,6 +13,11 @@
 //            u64 payload size, u64 FNV-1a checksum of the payload bytes
 //   payload  8-byte-aligned little-endian sections (zero-padded between)
 //
+// The container itself — writer, validating reader, the table of known
+// magics — is the io codec (io/codec.hpp), which the churn-trace format
+// (io/trace.hpp, magic "UAVCTRC1") shares; this module only encodes and
+// decodes scenario and solution sections.
+//
 // Scenario sections are the SoA columns (user x / y / min-rate arrays, UAV
 // capacity / tx / gain / range arrays) plus fixed-size geometry / channel /
 // receiver blocks; solution sections are the deployment and assignment
@@ -45,10 +50,11 @@ namespace uavcov::io {
 
 inline constexpr std::string_view kBinaryScenarioMagic = "UAVCBIN1";
 inline constexpr std::string_view kBinarySolutionMagic = "UAVCSOL1";
+/// Leading bytes of a binary churn trace (io/trace.hpp).
+inline constexpr std::string_view kBinaryTraceMagic = "UAVCTRC1";
 inline constexpr std::uint32_t kBinaryFormatVersion = 1;
 
-/// True if `bytes` begin with the binary scenario / solution magic —
-/// the sniff the format-agnostic loaders dispatch on.
+/// True if `bytes` begin with the binary scenario / solution magic.
 bool has_binary_scenario_magic(std::string_view bytes);
 bool has_binary_solution_magic(std::string_view bytes);
 

@@ -1,121 +1,25 @@
 #include "io/serialize.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.hpp"
 #include "io/binary.hpp"
+#include "io/codec.hpp"
 
 namespace uavcov::io {
 
 namespace {
 
-// Files open in binary mode for both formats: the loaders sniff bytes, and
-// on POSIX text output is byte-identical either way (golden fixtures are
-// unchanged).
-void open_checked(std::ifstream& in, const std::string& path) {
-  in.open(path, std::ios::in | std::ios::binary);
-  UAVCOV_CHECK_MSG(in.good(), "cannot open for reading: " + path);
-}
-
-void open_checked(std::ofstream& out, const std::string& path) {
-  out.open(path, std::ios::out | std::ios::binary);
-  UAVCOV_CHECK_MSG(out.good(), "cannot open for writing: " + path);
-}
-
-/// The single read the format-agnostic loaders work from.
-std::string slurp(std::istream& in) {
-  std::string data;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    data.append(buffer, static_cast<std::size_t>(in.gcount()));
-  }
-  return data;
-}
-
-/// Reads the next non-comment, non-empty line; returns false at EOF.
-bool next_record(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-struct Record {
-  std::string key;
-  std::istringstream args;
-};
-
-Record parse_record(const std::string& line) {
-  Record r;
-  r.args.str(line);
-  r.args >> r.key;
-  return r;
-}
-
-template <typename T>
-T read_arg(Record& r, const char* what) {
-  T value;
-  r.args >> value;
-  UAVCOV_CHECK_MSG(!r.args.fail(),
-                   std::string("malformed ") + what + " in record '" +
-                       r.key + "'");
-  return value;
-}
-
-/// Rejects trailing tokens after a record's declared arguments — the
-/// alternative is silently dropping user data ("user 1 2 3 4" would load
-/// as a 3-field user), which the round-trip fuzzer rightly flags.
-void expect_end(Record& r) {
-  std::string extra;
-  r.args >> extra;
-  UAVCOV_CHECK_MSG(extra.empty(), "trailing data '" + extra +
-                                      "' in record '" + r.key + "'");
-}
-
-/// Names the binary format when its magic reaches the text parser, instead
-/// of quoting a line of raw sections as a "bad header".  The dispatching
-/// loaders normally catch this earlier; this guards direct text parses.
-void reject_binary_input(const std::string& line, const std::string& magic) {
-  UAVCOV_CHECK_MSG(
-      !has_binary_scenario_magic(line),
-      "expected text '" + magic +
-          "' input but detected a binary uavcov scenario (magic " +
-          std::string(kBinaryScenarioMagic) +
-          "); the text parser cannot read it — load through io::load_* to "
-          "auto-detect the format");
-  UAVCOV_CHECK_MSG(
-      !has_binary_solution_magic(line),
-      "expected text '" + magic +
-          "' input but detected a binary uavcov solution (magic " +
-          std::string(kBinarySolutionMagic) +
-          "); the text parser cannot read it — load through io::load_* to "
-          "auto-detect the format");
-}
-
-void expect_magic(std::istream& in, const std::string& magic) {
-  std::string line;
-  UAVCOV_CHECK_MSG(next_record(in, line), "empty input, expected " + magic);
-  reject_binary_input(line, magic);
-  Record r = parse_record(line);
-  const auto version = read_arg<std::string>(r, "version");
-  UAVCOV_CHECK_MSG(r.key == magic && version == "v1",
-                   "bad header: expected '" + magic + " v1', got '" + line +
-                       "'");
-  expect_end(r);
-}
-
-std::ostream& full_precision(std::ostream& out) {
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  return out;
-}
+using codec::expect_end;
+using codec::full_precision;
+using codec::next_record;
+using codec::open_checked;
+using codec::parse_record;
+using codec::read_arg;
+using codec::Record;
 
 void save_scenario_text(std::ostream& out, const Scenario& scenario) {
   full_precision(out);
@@ -143,7 +47,7 @@ void save_scenario_text(std::ostream& out, const Scenario& scenario) {
 }
 
 Scenario load_scenario_text(std::istream& in) {
-  expect_magic(in, "uavcov-scenario");
+  codec::expect_header(in, "scenario");
   double width = 0, height = 0, cell = 0;
   Scenario* scenario = nullptr;
   // The grid is immutable, so buffer records until `area` arrives (it is
@@ -223,7 +127,7 @@ void save_solution_text(std::ostream& out, const Solution& solution) {
 }
 
 Solution load_solution_text(std::istream& in, std::int32_t user_count) {
-  expect_magic(in, "uavcov-solution");
+  codec::expect_header(in, "solution");
   Solution solution;
   solution.user_to_deployment.assign(static_cast<std::size_t>(user_count),
                                      -1);
@@ -289,17 +193,15 @@ void save_scenario(std::ostream& out, const Scenario& scenario,
 }
 
 Scenario load_scenario(std::string_view bytes) {
-  if (has_binary_scenario_magic(bytes)) return load_scenario_binary(bytes);
-  UAVCOV_CHECK_MSG(
-      !has_binary_solution_magic(bytes),
-      "load_scenario: input is a binary uavcov solution (magic " +
-          std::string(kBinarySolutionMagic) + "), not a scenario");
+  const std::string_view kind = codec::binary_kind(bytes);
+  if (kind == "scenario") return load_scenario_binary(bytes);
+  codec::reject_binary_kind(kind, "scenario", "load_scenario");
   std::istringstream in{std::string(bytes)};
   return load_scenario_text(in);
 }
 
 Scenario load_scenario(std::istream& in) {
-  return load_scenario(std::string_view(slurp(in)));
+  return load_scenario(std::string_view(codec::slurp(in)));
 }
 
 void save_solution(std::ostream& out, const Solution& solution,
@@ -313,19 +215,15 @@ void save_solution(std::ostream& out, const Solution& solution,
 
 Solution load_solution(std::string_view bytes, std::int32_t user_count) {
   UAVCOV_CHECK_MSG(user_count >= 0, "user count must be nonnegative");
-  if (has_binary_solution_magic(bytes)) {
-    return load_solution_binary(bytes, user_count);
-  }
-  UAVCOV_CHECK_MSG(
-      !has_binary_scenario_magic(bytes),
-      "load_solution: input is a binary uavcov scenario (magic " +
-          std::string(kBinaryScenarioMagic) + "), not a solution");
+  const std::string_view kind = codec::binary_kind(bytes);
+  if (kind == "solution") return load_solution_binary(bytes, user_count);
+  codec::reject_binary_kind(kind, "solution", "load_solution");
   std::istringstream in{std::string(bytes)};
   return load_solution_text(in, user_count);
 }
 
 Solution load_solution(std::istream& in, std::int32_t user_count) {
-  return load_solution(std::string_view(slurp(in)), user_count);
+  return load_solution(std::string_view(codec::slurp(in)), user_count);
 }
 
 void save_scenario_file(const std::string& path, const Scenario& scenario,

@@ -2,91 +2,34 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/fingerprint.hpp"
 #include "io/binary.hpp"
+#include "io/codec.hpp"
+#include "obs/metrics.hpp"
 
 namespace uavcov::io {
 
 namespace {
 
+using codec::expect_end;
+using codec::get_u32;
+using codec::get_u64;
+using codec::next_record;
+using codec::parse_record;
+using codec::put_u32;
+using codec::put_u64;
+using codec::read_arg;
+using codec::Record;
 using stream::ChurnEvent;
 using stream::ChurnKind;
 using stream::ChurnTrace;
 using stream::Epoch;
-
-// ---- shared parsing scaffolding (mirrors io/serialize.cpp) --------------
-
-void open_checked(std::ifstream& in, const std::string& path) {
-  in.open(path, std::ios::in | std::ios::binary);
-  UAVCOV_CHECK_MSG(in.good(), "cannot open for reading: " + path);
-}
-
-void open_checked(std::ofstream& out, const std::string& path) {
-  out.open(path, std::ios::out | std::ios::binary);
-  UAVCOV_CHECK_MSG(out.good(), "cannot open for writing: " + path);
-}
-
-std::string slurp(std::istream& in) {
-  std::string data;
-  char buffer[1 << 16];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    data.append(buffer, static_cast<std::size_t>(in.gcount()));
-  }
-  return data;
-}
-
-bool next_record(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-struct Record {
-  std::string key;
-  std::istringstream args;
-};
-
-Record parse_record(const std::string& line) {
-  Record r;
-  r.args.str(line);
-  r.args >> r.key;
-  return r;
-}
-
-template <typename T>
-T read_arg(Record& r, const char* what) {
-  T value;
-  r.args >> value;
-  UAVCOV_CHECK_MSG(!r.args.fail(), std::string("malformed ") + what +
-                                       " in record '" + r.key + "'");
-  return value;
-}
-
-void expect_end(Record& r) {
-  std::string extra;
-  r.args >> extra;
-  UAVCOV_CHECK_MSG(extra.empty(), "trailing data '" + extra +
-                                      "' in record '" + r.key + "'");
-}
-
-std::ostream& full_precision(std::ostream& out) {
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  return out;
-}
 
 void check_event_fields(const ChurnEvent& ev, const char* where) {
   UAVCOV_CHECK_MSG(ev.uid >= 0, std::string(where) + ": negative uid");
@@ -99,7 +42,7 @@ void check_event_fields(const ChurnEvent& ev, const char* where) {
 // ---- text format --------------------------------------------------------
 
 void save_trace_text(std::ostream& out, const ChurnTrace& trace) {
-  full_precision(out);
+  codec::full_precision(out);
   out << "uavcov-trace v1\n";
   out << "epochs " << trace.epochs.size() << '\n';
   for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
@@ -124,17 +67,8 @@ void save_trace_text(std::ostream& out, const ChurnTrace& trace) {
 }
 
 ChurnTrace load_trace_text(std::istream& in) {
+  codec::expect_header(in, "trace");
   std::string line;
-  UAVCOV_CHECK_MSG(next_record(in, line),
-                   "empty input, expected uavcov-trace");
-  {
-    Record r = parse_record(line);
-    const auto version = read_arg<std::string>(r, "version");
-    UAVCOV_CHECK_MSG(r.key == "uavcov-trace" && version == "v1",
-                     "bad header: expected 'uavcov-trace v1', got '" + line +
-                         "'");
-    expect_end(r);
-  }
   ChurnTrace trace;
   UAVCOV_CHECK_MSG(next_record(in, line), "missing 'epochs' record");
   std::int64_t declared = 0;
@@ -146,7 +80,8 @@ ChurnTrace load_trace_text(std::istream& in) {
     UAVCOV_CHECK_MSG(declared >= 0, "epoch count must be nonnegative");
     expect_end(r);
   }
-  trace.epochs.reserve(static_cast<std::size_t>(declared));
+  // Declared counts are untrusted until their records arrive, so nothing
+  // is reserved from them (a huge count would throw std::bad_alloc).
   for (std::int64_t e = 0; e < declared; ++e) {
     UAVCOV_CHECK_MSG(next_record(in, line),
                      "missing 'epoch' record " + std::to_string(e));
@@ -162,7 +97,6 @@ ChurnTrace load_trace_text(std::istream& in) {
     expect_end(r);
 
     Epoch epoch;
-    epoch.events.reserve(static_cast<std::size_t>(count));
     for (std::int64_t i = 0; i < count; ++i) {
       UAVCOV_CHECK_MSG(next_record(in, line),
                        "truncated epoch " + std::to_string(e));
@@ -201,192 +135,97 @@ ChurnTrace load_trace_text(std::istream& in) {
 
 // ---- binary format ------------------------------------------------------
 //
-// Same envelope as io/binary.cpp (whose helpers are deliberately
-// file-local): header magic[8] + u32 version + u32 section count +
-// u64 total size; 32-byte table entries (id, reserved, offset, size, FNV
-// checksum); 8-byte-aligned payloads.
-
-constexpr std::size_t kMagicBytes = 8;
-constexpr std::size_t kHeaderBytes = 24;
-constexpr std::size_t kEntryBytes = 32;
-constexpr std::size_t kAlign = 8;
+// A codec document (io/codec.hpp) with magic UAVCTRC1 and two sections.
 
 constexpr std::uint32_t kSecEpochCounts = 1;  // u64 E, then E u64 counts.
 constexpr std::uint32_t kSecEvents = 2;       // 40-byte records, in order.
 constexpr std::size_t kEventBytes = 40;       // kind,pad,uid,x,y,rate.
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-void put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t size) {
-  Fnv1a h;
-  for (std::size_t i = 0; i < size; ++i) h.mix_byte(data[i]);
-  return h.digest();
-}
-
-std::size_t align_up(std::size_t at) {
-  return (at + kAlign - 1) / kAlign * kAlign;
-}
-
 void save_trace_binary(std::ostream& out, const ChurnTrace& trace) {
-  std::vector<std::uint8_t> counts(8 + 8 * trace.epochs.size());
-  put_u64(counts.data(), static_cast<std::uint64_t>(trace.epochs.size()));
   std::size_t total_events = 0;
-  for (std::size_t e = 0; e < trace.epochs.size(); ++e) {
-    put_u64(counts.data() + 8 + 8 * e,
-            static_cast<std::uint64_t>(trace.epochs[e].events.size()));
-    total_events += trace.epochs[e].events.size();
-  }
-
-  std::vector<std::uint8_t> events(total_events * kEventBytes);
-  std::size_t at = 0;
+  for (const Epoch& epoch : trace.epochs) total_events += epoch.events.size();
+  std::vector<codec::Section> sections(2);
+  sections[0] = {kSecEpochCounts,
+                 std::vector<std::uint8_t>(8 + 8 * trace.epochs.size())};
+  sections[1] = {kSecEvents,
+                 std::vector<std::uint8_t>(total_events * kEventBytes)};
+  std::uint8_t* count = sections[0].bytes.data();
+  put_u64(count, static_cast<std::uint64_t>(trace.epochs.size()));
+  std::uint8_t* rec = sections[1].bytes.data();
   for (const Epoch& epoch : trace.epochs) {
+    count += 8;
+    put_u64(count, static_cast<std::uint64_t>(epoch.events.size()));
     for (const ChurnEvent& ev : epoch.events) {
-      std::uint8_t* rec = events.data() + at;
       put_u32(rec, static_cast<std::uint32_t>(ev.kind));
       put_u32(rec + 4, 0);  // reserved.
       put_u64(rec + 8, static_cast<std::uint64_t>(ev.uid));
       put_u64(rec + 16, std::bit_cast<std::uint64_t>(ev.pos.x));
       put_u64(rec + 24, std::bit_cast<std::uint64_t>(ev.pos.y));
       put_u64(rec + 32, std::bit_cast<std::uint64_t>(ev.min_rate_bps));
-      at += kEventBytes;
+      rec += kEventBytes;
     }
   }
-
-  const std::uint8_t* payloads[2] = {counts.data(), events.data()};
-  const std::size_t sizes[2] = {counts.size(), events.size()};
-  const std::uint32_t ids[2] = {kSecEpochCounts, kSecEvents};
-
-  std::size_t offset = align_up(kHeaderBytes + 2 * kEntryBytes);
-  std::size_t offsets[2];
-  for (int i = 0; i < 2; ++i) {
-    offsets[i] = offset;
-    offset = align_up(offset + sizes[i]);
-  }
-  const std::size_t total = offsets[1] + sizes[1];
-  std::vector<std::uint8_t> file(total, 0);
-  std::memcpy(file.data(), kBinaryTraceMagic.data(), kMagicBytes);
-  put_u32(file.data() + 8, kBinaryFormatVersion);
-  put_u32(file.data() + 12, 2);
-  put_u64(file.data() + 16, static_cast<std::uint64_t>(total));
-  for (int i = 0; i < 2; ++i) {
-    std::uint8_t* entry = file.data() + kHeaderBytes +
-                          static_cast<std::size_t>(i) * kEntryBytes;
-    put_u32(entry, ids[i]);
-    put_u32(entry + 4, 0);
-    put_u64(entry + 8, static_cast<std::uint64_t>(offsets[i]));
-    put_u64(entry + 16, static_cast<std::uint64_t>(sizes[i]));
-    put_u64(entry + 24, payload_checksum(payloads[i], sizes[i]));
-    if (sizes[i] > 0) {
-      std::memcpy(file.data() + offsets[i], payloads[i], sizes[i]);
-    }
-  }
-  out.write(reinterpret_cast<const char*>(file.data()),
-            static_cast<std::streamsize>(file.size()));
-  UAVCOV_CHECK_MSG(out.good(), "failed writing binary trace");
+  codec::write_document(out, kBinaryTraceMagic, sections);
 }
 
 ChurnTrace load_trace_binary(std::string_view data) {
-  UAVCOV_CHECK_MSG(data.size() >= kHeaderBytes,
-                   "binary trace: truncated header at byte offset " +
-                       std::to_string(data.size()) + " (need " +
-                       std::to_string(kHeaderBytes) + " bytes)");
-  UAVCOV_CHECK_MSG(data.substr(0, kMagicBytes) == kBinaryTraceMagic,
-                   "binary trace: bad magic");
-  const std::uint8_t* raw =
-      reinterpret_cast<const std::uint8_t*>(data.data());
-  const std::uint32_t version = get_u32(raw + 8);
-  UAVCOV_CHECK_MSG(version == kBinaryFormatVersion,
-                   "binary trace: unsupported format version " +
-                       std::to_string(version));
-  const std::uint32_t count = get_u32(raw + 12);
-  UAVCOV_CHECK_MSG(count == 2, "binary trace: expected 2 sections, got " +
-                                   std::to_string(count));
-  const std::uint64_t declared_size = get_u64(raw + 16);
-  UAVCOV_CHECK_MSG(declared_size == data.size(),
-                   "binary trace: declared size " +
-                       std::to_string(declared_size) +
-                       " (size field at byte offset 16) != actual " +
-                       std::to_string(data.size()) + " (truncated?)");
-
-  std::string_view sections[2];
-  std::uint32_t ids[2];
-  for (int i = 0; i < 2; ++i) {
-    const std::size_t entry_offset =
-        kHeaderBytes + static_cast<std::size_t>(i) * kEntryBytes;
-    const std::uint8_t* entry = raw + entry_offset;
-    ids[i] = get_u32(entry);
-    const std::uint64_t offset = get_u64(entry + 8);
-    const std::uint64_t size = get_u64(entry + 16);
-    const std::uint64_t checksum = get_u64(entry + 24);
-    UAVCOV_CHECK_MSG(offset <= data.size() && size <= data.size() - offset,
-                     "binary trace: section " + std::to_string(ids[i]) +
-                         " (table entry at byte offset " +
-                         std::to_string(entry_offset) +
-                         ") exceeds the file (bytes [" +
-                         std::to_string(offset) + ", " +
-                         std::to_string(offset) + "+" + std::to_string(size) +
-                         ") in a " + std::to_string(data.size()) +
-                         "-byte file)");
-    sections[i] = data.substr(offset, size);
-    UAVCOV_CHECK_MSG(
-        payload_checksum(
-            reinterpret_cast<const std::uint8_t*>(sections[i].data()),
-            sections[i].size()) == checksum,
-        "binary trace: checksum mismatch in section " +
-            std::to_string(ids[i]));
-  }
-  UAVCOV_CHECK_MSG(ids[0] == kSecEpochCounts && ids[1] == kSecEvents,
-                   "binary trace: unexpected section ids");
+  const obs::ScopedTimer timer(codec::binary_metrics().load_seconds);
+  const std::vector<codec::SectionView> sections =
+      codec::parse_document(data, "trace");
+  UAVCOV_CHECK_MSG(sections.size() == 2 &&
+                       sections[0].id == kSecEpochCounts &&
+                       sections[1].id == kSecEvents,
+                   "binary trace: expected sections 1 (epoch counts) and "
+                   "2 (events), in that order");
+  const std::string_view count_bytes = sections[0].bytes;
+  const std::string_view event_bytes = sections[1].bytes;
+  const auto at = [&](std::string_view section) {
+    return std::to_string(section.data() - data.data());
+  };
 
   const std::uint8_t* counts =
-      reinterpret_cast<const std::uint8_t*>(sections[0].data());
-  UAVCOV_CHECK_MSG(sections[0].size() >= 8,
+      reinterpret_cast<const std::uint8_t*>(count_bytes.data());
+  UAVCOV_CHECK_MSG(count_bytes.size() >= 8,
                    "binary trace: truncated epoch-count section (" +
-                       std::to_string(sections[0].size()) +
-                       " bytes at byte offset " +
-                       std::to_string(sections[0].data() - data.data()) +
+                       std::to_string(count_bytes.size()) +
+                       " bytes at byte offset " + at(count_bytes) +
                        ", need 8)");
+  // Bounded by division: 8 + 8 * epoch_count wraps for epoch counts near
+  // 2^61, and a wrapped check would pass a count no section can hold.
   const std::uint64_t epoch_count = get_u64(counts);
-  UAVCOV_CHECK_MSG(sections[0].size() == 8 + 8 * epoch_count,
+  const std::uint64_t epoch_room = (count_bytes.size() - 8) / 8;
+  UAVCOV_CHECK_MSG(epoch_count <= epoch_room &&
+                       count_bytes.size() == 8 + 8 * epoch_count,
                    "binary trace: epoch-count section at byte offset " +
-                       std::to_string(sections[0].data() - data.data()) +
-                       " has " + std::to_string(sections[0].size()) +
-                       " bytes, but the declared epoch count needs " +
-                       std::to_string(8 + 8 * epoch_count));
+                       at(count_bytes) + " has " +
+                       std::to_string(count_bytes.size()) +
+                       " bytes, which do not hold exactly the " +
+                       std::to_string(epoch_count) +
+                       " epoch counts it declares");
 
-  ChurnTrace trace;
-  trace.epochs.resize(static_cast<std::size_t>(epoch_count));
+  const std::uint64_t event_room = event_bytes.size() / kEventBytes;
   std::uint64_t total_events = 0;
   for (std::uint64_t e = 0; e < epoch_count; ++e) {
-    total_events += get_u64(counts + 8 + 8 * e);
+    const std::uint64_t n = get_u64(counts + 8 + 8 * e);
+    UAVCOV_CHECK_MSG(n <= event_room - total_events,
+                     "binary trace: event counts through epoch " +
+                         std::to_string(e) + " exceed the " +
+                         std::to_string(event_room) +
+                         " records the event section at byte offset " +
+                         at(event_bytes) + " holds");
+    total_events += n;
   }
-  UAVCOV_CHECK_MSG(sections[1].size() == total_events * kEventBytes,
+  UAVCOV_CHECK_MSG(event_bytes.size() == total_events * kEventBytes,
                    "binary trace: event section at byte offset " +
-                       std::to_string(sections[1].data() - data.data()) +
-                       " has " + std::to_string(sections[1].size()) +
+                       at(event_bytes) + " has " +
+                       std::to_string(event_bytes.size()) +
                        " bytes, but the declared event counts need " +
                        std::to_string(total_events * kEventBytes));
 
+  ChurnTrace trace;
+  trace.epochs.resize(static_cast<std::size_t>(epoch_count));
   const std::uint8_t* rec =
-      reinterpret_cast<const std::uint8_t*>(sections[1].data());
+      reinterpret_cast<const std::uint8_t*>(event_bytes.data());
   for (std::uint64_t e = 0; e < epoch_count; ++e) {
     const std::uint64_t n = get_u64(counts + 8 + 8 * e);
     Epoch& epoch = trace.epochs[static_cast<std::size_t>(e)];
@@ -405,6 +244,9 @@ ChurnTrace load_trace_binary(std::string_view data) {
       epoch.events.push_back(ev);
     }
   }
+  codec::binary_metrics().loads.inc();
+  codec::binary_metrics().bytes_read.inc(
+      static_cast<std::int64_t>(data.size()));
   return trace;
 }
 
@@ -422,30 +264,26 @@ void save_trace(std::ostream& out, const stream::ChurnTrace& trace,
 void save_trace_file(const std::string& path, const stream::ChurnTrace& trace,
                      Format format) {
   std::ofstream out;
-  open_checked(out, path);
+  codec::open_checked(out, path);
   save_trace(out, trace, format);
   UAVCOV_CHECK_MSG(out.good(), "failed writing trace to " + path);
 }
 
 stream::ChurnTrace load_trace(std::string_view bytes) {
-  if (bytes.substr(0, kBinaryTraceMagic.size()) == kBinaryTraceMagic) {
-    return load_trace_binary(bytes);
-  }
-  UAVCOV_CHECK_MSG(!has_binary_scenario_magic(bytes) &&
-                       !has_binary_solution_magic(bytes),
-                   "expected a churn trace but detected a binary uavcov "
-                   "scenario/solution document");
+  const std::string_view kind = codec::binary_kind(bytes);
+  if (kind == "trace") return load_trace_binary(bytes);
+  codec::reject_binary_kind(kind, "trace", "load_trace");
   std::istringstream in{std::string(bytes)};
   return load_trace_text(in);
 }
 
 stream::ChurnTrace load_trace(std::istream& in) {
-  return load_trace(std::string_view(slurp(in)));
+  return load_trace(std::string_view(codec::slurp(in)));
 }
 
 stream::ChurnTrace load_trace_file(const std::string& path) {
   std::ifstream in;
-  open_checked(in, path);
+  codec::open_checked(in, path);
   return load_trace(in);
 }
 

@@ -10,9 +10,11 @@
 //   depart <uid>
 //   move <uid> <x> <y>
 //
-// *Binary* — the sectioned little-endian layout of io/binary.hpp under its
-// own magic "UAVCTRC1": one section of per-epoch event counts and one flat
-// section of fixed-width event records, both FNV-checksummed.
+// *Binary* — a document of the io codec's checksummed section container
+// (io/codec.hpp, shared with the binary scenario and solution formats) under
+// the magic "UAVCTRC1" (kBinaryTraceMagic, io/binary.hpp): section 1 holds
+// the epoch count E and E per-epoch event counts (u64 each), section 2 the
+// fixed-width 40-byte event records (kind, pad, uid, x, y, rate) in order.
 //
 // The loaders sniff the magic and take either format; both round-trip
 // byte-exactly (save(load(save(x))) == save(x)).  Liveness discipline is
@@ -28,9 +30,6 @@
 #include "stream/churn.hpp"
 
 namespace uavcov::io {
-
-/// Leading bytes of a binary churn trace.
-inline constexpr std::string_view kBinaryTraceMagic = "UAVCTRC1";
 
 void save_trace(std::ostream& out, const stream::ChurnTrace& trace,
                 Format format = Format::kText);

@@ -11,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "io/binary.hpp"
+#include "io/codec.hpp"
 #include "io/serialize.hpp"
 #include "io/trace.hpp"
 #include "stream/churn.hpp"
@@ -261,6 +262,28 @@ TEST(IoBinary, CrossFormatMagicIsNamedInErrors) {
         (void)io::load_solution_binary(std::string_view(scenario_bin), 1);
       },
       "is a binary uavcov scenario, not a solution");
+
+  // Binary traces share the magic table: named by every other loader, and
+  // the trace loader names the documents it is handed by mistake.
+  stream::ChurnTrace trace;
+  trace.epochs.resize(1);
+  std::ostringstream trace_out;
+  io::save_trace(trace_out, trace, io::Format::kBinary);
+  const std::string trace_bin = trace_out.str();
+  expect_contract_error(
+      [&] { (void)io::load_scenario(std::string_view(trace_bin)); },
+      "input is a binary uavcov trace, not a scenario");
+  expect_contract_error(
+      [&] { (void)io::load_solution(std::string_view(trace_bin), 1); },
+      "input is a binary uavcov trace, not a solution");
+  expect_contract_error(
+      [&] { (void)io::load_trace(std::string_view(scenario_bin)); },
+      "input is a binary uavcov scenario, not a trace");
+
+  // Behind a blank line the magic is not sniffed; the text parser names it.
+  expect_contract_error(
+      [&] { (void)io::load_scenario(std::string_view("\n" + trace_bin)); },
+      "input is a binary uavcov trace, not a text scenario");
 }
 
 TEST(IoBinary, TraceSectionErrorsNameByteOffsets) {
@@ -302,6 +325,36 @@ TEST(IoBinary, TraceSectionErrorsNameByteOffsets) {
   expect_contract_error(
       [&] { (void)io::load_trace(std::string_view(oversized)); },
       "exceeds the file");
+}
+
+TEST(IoBinary, TraceCountOverflowRejected) {
+  // A 104-byte UAVCTRC1 document with valid checksums whose epoch count,
+  // 2^61 + 1, makes 8 + 8 * count wrap to 16 — the size of its count
+  // section — and whose event section is empty.
+  std::vector<io::codec::Section> sections(2);
+  sections[0].id = 1;
+  sections[0].bytes.resize(16, 0);
+  io::codec::put_u64(sections[0].bytes.data(), (std::uint64_t{1} << 61) + 1);
+  sections[1].id = 2;
+  std::ostringstream epochs_out;
+  io::codec::write_document(epochs_out, io::kBinaryTraceMagic, sections);
+  const std::string epochs_wrap = epochs_out.str();
+  ASSERT_EQ(epochs_wrap.size(), 104u);
+  expect_contract_error(
+      [&] { (void)io::load_trace(std::string_view(epochs_wrap)); },
+      "2305843009213693953 epoch counts it declares");
+
+  // Two epochs of 2^63 events each: the event total wraps to 0, the size
+  // of the empty event section.
+  sections[0].bytes.assign(24, 0);
+  io::codec::put_u64(sections[0].bytes.data(), 2);
+  io::codec::put_u64(sections[0].bytes.data() + 8, std::uint64_t{1} << 63);
+  io::codec::put_u64(sections[0].bytes.data() + 16, std::uint64_t{1} << 63);
+  std::ostringstream events_out;
+  io::codec::write_document(events_out, io::kBinaryTraceMagic, sections);
+  expect_contract_error(
+      [&] { (void)io::load_trace(std::string_view(events_out.str())); },
+      "event counts through epoch 0 exceed");
 }
 
 TEST(IoBinary, FileEntryPointsSniffBothFormats) {
