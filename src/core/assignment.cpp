@@ -85,26 +85,44 @@ IncrementalAssignment::IncrementalAssignment(const Scenario& scenario,
   source_ = flow_.add_node();
   sink_ = flow_.add_node();
   user_node_.resize(static_cast<std::size_t>(n));
+  source_edge_.resize(static_cast<std::size_t>(n));
   for (const UserId i : scenario.user_ids()) {
     user_node_[i] = flow_.add_node();
-    flow_.add_edge(source_, user_node_[i], 1);
+    source_edge_[i] = flow_.add_edge(source_, user_node_[i], 1);
   }
 }
 
 std::int64_t IncrementalAssignment::add_uav_and_augment(UavId k,
                                                         LocationId loc) {
+  const std::int64_t cap = coverage_.flat().uav_capacity()[k.index()];
   const auto uav_node = flow_.add_node();
-  const std::int32_t cls = coverage_.radio_class_of(k);
-  for (const UserId u : coverage_.eligible_users(loc, cls)) {
-    flow_.add_edge(user_node_[u], uav_node, 1);
+  std::int64_t direct = 0;
+  for (const UserId u :
+       coverage_.eligible_users(loc, coverage_.radio_class_of(k))) {
+    const auto e = flow_.add_edge(user_node_[u], uav_node, 1);
+    if (direct < cap && is_free(u)) {
+      flow_.push(source_edge_[u], 1);
+      flow_.push(e, 1);
+      ++direct;
+    }
   }
-  flow_.add_edge(uav_node, sink_, coverage_.flat().uav_capacity()[k.index()]);
-  return flow_.augment(source_, sink_);
+  // The flow into t is already maximum, so every reroute ends at x and no
+  // augmenting path crosses t.
+  const std::int64_t gain =
+      direct + flow_.augment(source_, uav_node, cap - direct, sink_);
+  flow_.push(flow_.add_edge(uav_node, sink_, cap), gain);
+  return gain;
 }
 
 std::int64_t IncrementalAssignment::probe(UavId k, LocationId loc) {
   assignment_metrics().probes.inc();
   const obs::ScopedTimer timer(assignment_metrics().probe_seconds);
+  const std::int64_t cap = coverage_.flat().uav_capacity()[k.index()];
+  std::int64_t free = 0;
+  for (const UserId u :
+       coverage_.eligible_users(loc, coverage_.radio_class_of(k))) {
+    if (is_free(u) && ++free == cap) return cap;
+  }
   const auto cp = flow_.checkpoint();
   const std::int64_t gain = add_uav_and_augment(k, loc);
   flow_.rollback(cp);

@@ -6,9 +6,12 @@
 // Two interfaces:
 //   * solve_assignment — one-shot optimal solve returning the user mapping;
 //   * IncrementalAssignment — keeps a live flow network so Algorithm 2 can
-//     probe "what if one more UAV were deployed?" in O(C_k · E') time and
-//     commit the winner, instead of re-solving from scratch (the paper's
-//     complexity analysis assumes exactly this kind of reuse is absent).
+//     probe "what if one more UAV were deployed?" and commit the winner,
+//     instead of re-solving from scratch (the paper's complexity analysis
+//     assumes exactly this kind of reuse is absent).  A probe costs what
+//     the candidate changes: O(|eligible(x)|) when x's free eligible users
+//     cover C_k, otherwise the backward-levelled search over the saturated
+//     region behind x (src/flow/dinic.hpp).
 #pragma once
 
 #include <span>
@@ -58,9 +61,14 @@ class IncrementalAssignment {
   DinicFlow::FlowNode sink() const { return sink_; }
   /// Flow node carrying user `u` (audit: per-user unit-flow integrality).
   DinicFlow::FlowNode user_node(UserId u) const { return user_node_[u]; }
+  /// True while no deployed UAV serves user `u` (its source edge is unused).
+  bool is_free(UserId u) const {
+    return flow_.edge_residual(source_edge_[u]) > 0;
+  }
 
   /// Marginal gain of deploying UAV `k` at `loc`; the network is restored
-  /// before returning.
+  /// before returning.  When `k`'s free eligible users at `loc` cover its
+  /// capacity the gain is C_k and the network is not touched at all.
   std::int64_t probe(UavId k, LocationId loc);
 
   /// Deploy UAV `k` at `loc` permanently (within the current scope);
@@ -77,6 +85,9 @@ class IncrementalAssignment {
   void end_scope(const Scope& scope);
 
  private:
+  /// Adds UAV node x, routes free eligible users straight along s→u→x,
+  /// levels the remaining ≤ C_k − direct units backward from x, then
+  /// pushes the gain along x→t once.
   std::int64_t add_uav_and_augment(UavId k, LocationId loc);
 
   const Scenario& scenario_;
@@ -85,6 +96,7 @@ class IncrementalAssignment {
   DinicFlow::FlowNode source_ = 0;
   DinicFlow::FlowNode sink_ = 0;
   IdVector<UserTag, DinicFlow::FlowNode> user_node_;
+  IdVector<UserTag, DinicFlow::EdgeId> source_edge_;
   std::vector<Deployment> deployments_;
   std::int64_t served_ = 0;
 };

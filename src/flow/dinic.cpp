@@ -47,61 +47,84 @@ void DinicFlow::journal_touch(EdgeId e) {
   journal_.emplace_back(e, cap_[static_cast<std::size_t>(e)]);
 }
 
-bool DinicFlow::bfs_levels(FlowNode s, FlowNode t) {
-  level_.assign(head_.size(), -1);
-  queue_.clear();
-  queue_.push_back(s);
-  level_[static_cast<std::size_t>(s)] = 0;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const FlowNode u = queue_[qi];
-    for (EdgeId e = head_[static_cast<std::size_t>(u)]; e != -1;
-         e = next_[static_cast<std::size_t>(e)]) {
-      const FlowNode v = to_[static_cast<std::size_t>(e)];
-      if (cap_[static_cast<std::size_t>(e)] > 0 &&
-          level_[static_cast<std::size_t>(v)] == -1) {
-        level_[static_cast<std::size_t>(v)] =
-            level_[static_cast<std::size_t>(u)] + 1;
-        queue_.push_back(v);
-      }
-    }
-  }
-  return level_[static_cast<std::size_t>(t)] != -1;
+void DinicFlow::push(EdgeId e, std::int64_t units) {
+  UAVCOV_DCHECK(e >= 0 && e < edge_count());
+  UAVCOV_DCHECK(units <= cap_[static_cast<std::size_t>(e)]);
+  journal_touch(e);
+  journal_touch(e ^ 1);
+  cap_[static_cast<std::size_t>(e)] -= units;
+  cap_[static_cast<std::size_t>(e ^ 1)] += units;
 }
 
-std::int64_t DinicFlow::dfs_push(FlowNode u, FlowNode t, std::int64_t limit) {
+// Labels nodes with their residual distance *to* t, walking edges into each
+// labelled node backward.  Stops the moment s is labelled: every node
+// closer to t than s already is, and no shortest s→t path needs the rest.
+bool DinicFlow::level_backward(FlowNode s, FlowNode t, FlowNode closed) {
+  if (level_.size() < head_.size()) {
+    level_.resize(head_.size(), -1);
+    iter_.resize(head_.size(), -1);
+  }
+  queue_.clear();
+  const auto label = [this](FlowNode v, std::int32_t level) {
+    level_[static_cast<std::size_t>(v)] = level;
+    iter_[static_cast<std::size_t>(v)] = head_[static_cast<std::size_t>(v)];
+    queue_.push_back(v);
+  };
+  label(t, 0);
+  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
+    const FlowNode v = queue_[qi];
+    const std::int32_t next = level_[static_cast<std::size_t>(v)] + 1;
+    for (EdgeId e = head_[static_cast<std::size_t>(v)]; e != -1;
+         e = next_[static_cast<std::size_t>(e)]) {
+      // e runs v → u, so its twin e ^ 1 is the residual edge u → v.
+      const FlowNode u = to_[static_cast<std::size_t>(e)];
+      if (cap_[static_cast<std::size_t>(e ^ 1)] <= 0 ||
+          level_[static_cast<std::size_t>(u)] != -1 || u == closed) {
+        continue;
+      }
+      label(u, next);
+      if (u == s) return true;
+    }
+  }
+  return false;
+}
+
+std::int64_t DinicFlow::push_path(FlowNode u, FlowNode t, std::int64_t limit) {
   if (u == t) return limit;
+  const std::int32_t closer = level_[static_cast<std::size_t>(u)] - 1;
   for (EdgeId& e = iter_[static_cast<std::size_t>(u)]; e != -1;
        e = next_[static_cast<std::size_t>(e)]) {
     const FlowNode v = to_[static_cast<std::size_t>(e)];
     if (cap_[static_cast<std::size_t>(e)] <= 0 ||
-        level_[static_cast<std::size_t>(v)] !=
-            level_[static_cast<std::size_t>(u)] + 1) {
+        level_[static_cast<std::size_t>(v)] != closer) {
       continue;
     }
-    const std::int64_t pushed = dfs_push(
+    const std::int64_t pushed = push_path(
         v, t, std::min(limit, cap_[static_cast<std::size_t>(e)]));
     if (pushed > 0) {
-      journal_touch(e);
-      journal_touch(e ^ 1);
-      cap_[static_cast<std::size_t>(e)] -= pushed;
-      cap_[static_cast<std::size_t>(e ^ 1)] += pushed;
+      push(e, pushed);
       return pushed;
     }
   }
   return 0;
 }
 
-std::int64_t DinicFlow::augment(FlowNode s, FlowNode t) {
+std::int64_t DinicFlow::augment(FlowNode s, FlowNode t, std::int64_t limit,
+                                FlowNode closed) {
   UAVCOV_CHECK_MSG(s >= 0 && s < node_count() && t >= 0 && t < node_count(),
                    "source/sink out of range");
   UAVCOV_CHECK_MSG(s != t, "source and sink must differ");
+  UAVCOV_CHECK_MSG(closed != s && closed != t,
+                   "closed node must not be an endpoint");
+  UAVCOV_CHECK_MSG(limit >= 0, "augment limit must be nonnegative");
   std::int64_t total = 0;
-  while (bfs_levels(s, t)) {
-    iter_ = head_;
-    constexpr std::int64_t kInf = std::int64_t{1} << 62;
-    while (const std::int64_t pushed = dfs_push(s, t, kInf)) {
+  for (bool reachable = true; reachable && total < limit;) {
+    reachable = level_backward(s, t, closed);
+    for (std::int64_t pushed = 1; reachable && pushed > 0 && total < limit;) {
+      pushed = push_path(s, t, limit - total);
       total += pushed;
     }
+    for (const FlowNode v : queue_) level_[static_cast<std::size_t>(v)] = -1;
   }
   return total;
 }

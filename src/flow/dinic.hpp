@@ -6,10 +6,17 @@
 // Algorithm 2's greedy placement needs the *marginal* gain of deploying one
 // more UAV thousands of times; recomputing the whole flow each time would
 // be ruinous.  Instead, callers take a checkpoint, add the candidate UAV's
-// node and edges, augment (at most C_k augmenting paths, each O(E)), read
-// the gain, and roll back.  Rollback restores every touched residual
-// capacity via a journal and truncates the added nodes/edges, so the
-// structure is bit-identical to its checkpointed state.
+// node x and edges, push what they can route directly (push()), find the
+// rest with a bounded augment into x, read the gain, and roll back.
+//
+// augment() is the one search routine.  Each Dinic phase levels the
+// network *backward* from the target over the reverse residual and stops
+// as soon as the source is labelled, then pushes blocking paths forward
+// from the source.  A phase therefore touches only the nodes within the
+// source's distance of the target: for a probe, the saturated region
+// behind x, not the whole network.  Rollback restores every touched
+// residual capacity via a journal and truncates the added nodes/edges, so
+// the structure is bit-identical to its checkpointed state.
 #pragma once
 
 #include <cstdint>
@@ -73,10 +80,20 @@ class DinicFlow {
     return cap_[static_cast<std::size_t>(e)];
   }
 
-  /// Pushes as much additional flow from s to t as the residual network
-  /// allows; returns the amount added.  Calling on a fresh network computes
-  /// the max flow; calling after edge additions augments incrementally.
-  std::int64_t augment(FlowNode s, FlowNode t);
+  static constexpr FlowNode kNoNode = -1;
+  static constexpr std::int64_t kUnbounded = std::int64_t{1} << 62;
+
+  /// Pushes up to `limit` more units from `s` to `t` along residual paths;
+  /// returns the amount added.  Calling on a fresh network with no limit
+  /// computes the max flow; calling after edge additions augments
+  /// incrementally.  No path passes through `closed`: a caller routing
+  /// into an interior node passes the network's sink there, because no
+  /// augmenting path can cross a sink whose inflow is already maximum.
+  std::int64_t augment(FlowNode s, FlowNode t, std::int64_t limit = kUnbounded,
+                       FlowNode closed = kNoNode);
+
+  /// Moves `units` of flow along edge `e` (journaled like augment()).
+  void push(EdgeId e, std::int64_t units);
 
   /// Opaque token capturing the full state (nodes, edges, residuals).
   struct Checkpoint {
@@ -95,8 +112,8 @@ class DinicFlow {
 
  private:
   void journal_touch(EdgeId e);
-  bool bfs_levels(FlowNode s, FlowNode t);
-  std::int64_t dfs_push(FlowNode u, FlowNode t, std::int64_t limit);
+  bool level_backward(FlowNode s, FlowNode t, FlowNode closed);
+  std::int64_t push_path(FlowNode u, FlowNode t, std::int64_t limit);
 
   // Linked-list adjacency: head_[u] is the first edge id out of u, next_[e]
   // chains edges.  New edges prepend, which makes truncation-on-rollback a
@@ -115,6 +132,8 @@ class DinicFlow {
   std::int32_t active_checkpoints_ = 0;
 
   // Scratch for BFS/DFS (kept as members to avoid per-call allocation).
+  // level_ is -1 except on the nodes queue_ labelled during a phase, which
+  // augment() clears when the phase ends.
   std::vector<std::int32_t> level_;
   std::vector<EdgeId> iter_;
   std::vector<FlowNode> queue_;

@@ -156,6 +156,20 @@ void run_assignment_harness(const std::uint8_t* data, std::size_t size) {
   check_assignment_feasible(scenario, coverage, deployments,
                             oracle.user_to_deployment, oracle.served,
                             "oracle witness");
+
+  // Incremental leg: the same deployments one at a time through the probe
+  // and deploy path Algorithm 2's greedy reads its marginal gains from.
+  IncrementalAssignment ia(scenario, coverage);
+  for (const Deployment& d : deployments) {
+    const std::int64_t probed = ia.probe(d.uav, d.loc);
+    const std::int64_t gained = ia.deploy(d.uav, d.loc);
+    require(probed == gained, "probe gain " + std::to_string(probed) +
+                                  " != deploy gain " + std::to_string(gained));
+  }
+  require(ia.served() == oracle.served,
+          "incremental served " + std::to_string(ia.served()) +
+              " != oracle optimum " + std::to_string(oracle.served));
+  analysis::require_clean(analysis::audit_assignment_flow(ia));
 }
 
 void run_appro_alg_harness(const std::uint8_t* data, std::size_t size) {

@@ -33,7 +33,9 @@ class FuzzFailure : public std::runtime_error {
 /// Dinic/incremental max-flow assignment vs the brute-force bipartite
 /// matching oracle on instances with <= 12 users: equal cardinality, and
 /// both witnesses feasible (eligibility re-derived from geometry, per-UAV
-/// capacity respected).
+/// capacity respected).  The incremental leg deploys the same UAVs one at
+/// a time: each probe must equal its deploy gain, the final served count
+/// the oracle optimum, and the live flow must pass audit_assignment_flow.
 void run_assignment_harness(const std::uint8_t* data, std::size_t size);
 
 /// End-to-end approAlg with auditing forced on: serial (threads=1) vs

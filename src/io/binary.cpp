@@ -109,14 +109,6 @@ std::vector<double> read_fixed_doubles(
 
 }  // namespace
 
-bool has_binary_scenario_magic(std::string_view bytes) {
-  return codec::binary_kind(bytes) == "scenario";
-}
-
-bool has_binary_solution_magic(std::string_view bytes) {
-  return codec::binary_kind(bytes) == "solution";
-}
-
 void save_scenario_binary(std::ostream& out, const Scenario& scenario) {
   const std::size_t n = scenario.users.size();
   const std::size_t K = scenario.fleet.size();

@@ -189,6 +189,66 @@ TEST(IncrementalAssignment, MatchesOneShotSolveOnRandomSequences) {
   }
 }
 
+// Differential: every probe against a from-scratch max flow over random
+// scenarios and random deploy sequences.  Counts which probe branch each
+// candidate takes so the test fails if either one goes unexercised: free
+// eligible users covering C_k (no mutation) and the backward-levelled
+// reroute finding at least one unit beyond the direct pushes.
+TEST(IncrementalAssignment, ProbeMatchesFromScratchSolve) {
+  Rng rng(20231017);
+  std::int64_t untouched = 0;
+  std::int64_t rerouted = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::int32_t cells = 6;
+    const std::int32_t n = 4 + static_cast<std::int32_t>(rng.next_below(21));
+    std::vector<Vec2> users;
+    for (std::int32_t i = 0; i < n; ++i) {
+      users.push_back({rng.uniform(0, 600), rng.uniform(0, 100)});
+    }
+    std::vector<std::int32_t> caps;
+    for (int k = 0; k < 4; ++k) {
+      caps.push_back(1 + static_cast<std::int32_t>(rng.next_below(4)));
+    }
+    const Scenario sc = make_scenario(cells, users, caps);
+    const CoverageModel cov(sc);
+    IncrementalAssignment ia(sc, cov);
+    std::vector<Deployment> deps;
+    std::vector<LocationId> free_cells;
+    for (std::int32_t c = 0; c < cells; ++c) free_cells.push_back(LocationId{c});
+    rng.shuffle(free_cells);
+    for (const UavId k : sc.uav_ids()) {
+      for (const UavId j : sc.uav_ids()) {
+        if (j < k) continue;  // already deployed
+        for (const LocationId loc : free_cells) {
+          std::int64_t free = 0;
+          for (const UserId u : cov.eligible_users(loc, cov.radio_class_of(j))) {
+            free += ia.is_free(u) ? 1 : 0;
+          }
+          std::vector<Deployment> with = deps;
+          with.push_back({j, loc});
+          const std::int64_t expected =
+              solve_assignment(sc, cov, with).served - ia.served();
+          const std::int64_t probed = ia.probe(j, loc);
+          EXPECT_EQ(probed, expected) << "trial " << trial << " UAV "
+                                      << j.value() << " cell " << loc.value();
+          if (free >= sc.fleet[j].capacity) {
+            ++untouched;
+          } else if (probed > free) {
+            ++rerouted;
+          }
+        }
+      }
+      const LocationId loc = free_cells.back();
+      free_cells.pop_back();
+      ia.deploy(k, loc);
+      deps.push_back({k, loc});
+      ASSERT_EQ(ia.served(), solve_assignment(sc, cov, deps).served);
+    }
+  }
+  EXPECT_GT(untouched, 0);
+  EXPECT_GT(rerouted, 0);
+}
+
 TEST(IncrementalAssignment, ScopesResetEverything) {
   const Scenario sc =
       make_scenario(2, {{50, 50}, {150, 50}}, {1, 1});

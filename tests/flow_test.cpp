@@ -2,6 +2,7 @@
 // randomized cross-checks against the exhaustive assignment oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -197,8 +198,111 @@ TEST_P(FlowAssignmentRandom, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowAssignmentRandom, testing::Range(0, 25));
 
-// Probe/rollback fuzz: interleave committed growth with rolled-back probes
-// and verify the final flow equals a from-scratch computation.
+// Bounded augment into an interior node: on a random max-flow residual
+// state of a bipartite instance, a new bin x (no x→t edge yet) takes
+// exactly the marginal gain the exhaustive oracle and an unbounded
+// from-scratch solve both report, and never more than the limit asks.
+class DinicBoundedAugment : public testing::TestWithParam<int> {};
+
+TEST_P(DinicBoundedAugment, MatchesOracleAndFromScratch) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2027 + 5);
+  const int items = 1 + static_cast<int>(rng.next_below(10));
+  const int bins = 1 + static_cast<int>(rng.next_below(3));
+  std::vector<std::vector<std::int32_t>> eligible(
+      static_cast<std::size_t>(items));
+  std::vector<std::int64_t> capacity(static_cast<std::size_t>(bins) + 1);
+  for (auto& c : capacity) c = 1 + static_cast<std::int64_t>(rng.next_below(3));
+  for (auto& e : eligible) {
+    for (int b = 0; b <= bins; ++b) {  // bin `bins` is the new node x
+      if (rng.chance(0.5)) e.push_back(b);
+    }
+  }
+  const auto old_bins_only = [&] {
+    auto trimmed = eligible;
+    for (auto& e : trimmed) std::erase(e, bins);
+    return trimmed;
+  };
+  const std::int64_t before = oracle::brute_force_assignment(
+      old_bins_only(), {capacity.begin(), capacity.end() - 1});
+  const std::int64_t after = oracle::brute_force_assignment(eligible, capacity);
+
+  // Builds s, t, items and bins; only the old bins get a sink edge, so the
+  // last bin is the interior node x unless `x_to_t` (the from-scratch
+  // reference) gives it one too.
+  struct Built {
+    std::vector<DinicFlow::EdgeId> source_edge, sink_edge;
+    std::vector<std::vector<std::pair<int, DinicFlow::EdgeId>>> item_edge;
+  };
+  const auto build = [&](DinicFlow& f, bool x_to_t) {
+    Built net;
+    f.add_node();  // s = 0
+    f.add_node();  // t = 1
+    for (int i = 0; i < items; ++i) {
+      net.source_edge.push_back(f.add_edge(0, f.add_node(), 1));
+    }
+    net.item_edge.resize(static_cast<std::size_t>(items));
+    for (int b = 0; b <= bins; ++b) {
+      const auto bin = f.add_node();
+      for (int i = 0; i < items; ++i) {
+        const auto& e = eligible[static_cast<std::size_t>(i)];
+        if (std::find(e.begin(), e.end(), b) != e.end()) {
+          net.item_edge[static_cast<std::size_t>(i)].emplace_back(
+              b, f.add_edge(2 + i, bin, 1));
+        }
+      }
+      if (b < bins || x_to_t) {
+        net.sink_edge.push_back(
+            f.add_edge(bin, 1, capacity[static_cast<std::size_t>(b)]));
+      }
+    }
+    return net;
+  };
+
+  DinicFlow fresh;
+  build(fresh, true);
+  ASSERT_EQ(fresh.augment(0, 1), after);
+
+  // Random residual state: a random feasible partial routing over the old
+  // bins, completed to a max flow into t.
+  DinicFlow live;
+  const Built net = build(live, false);
+  std::vector<std::int64_t> room(capacity.begin(), capacity.end() - 1);
+  std::int64_t routed = 0;
+  for (int i = 0; i < items; ++i) {
+    for (const auto& [b, e] : net.item_edge[static_cast<std::size_t>(i)]) {
+      if (b == bins) continue;  // x is not routed into yet
+      auto& left = room[static_cast<std::size_t>(b)];
+      if (left == 0 || !rng.chance(0.5)) continue;
+      live.push(net.source_edge[static_cast<std::size_t>(i)], 1);
+      live.push(e, 1);
+      live.push(net.sink_edge[static_cast<std::size_t>(b)], 1);
+      --left;
+      ++routed;
+      break;
+    }
+  }
+  ASSERT_EQ(routed + live.augment(0, 1), before);
+
+  const DinicFlow::FlowNode x = 2 + items + bins;
+  const std::int64_t cap_x = capacity.back();
+  const std::int64_t limit =
+      1 + static_cast<std::int64_t>(rng.next_below(
+              static_cast<std::uint64_t>(cap_x)));
+  const auto cp = live.checkpoint();
+  EXPECT_EQ(live.augment(0, x, limit, 1), std::min(limit, after - before));
+  live.rollback(cp);
+  EXPECT_EQ(live.augment(0, x, cap_x, 1), after - before);
+  EXPECT_EQ(live.augment(0, 1), 0);  // the sink side stayed maximal
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DinicBoundedAugment, testing::Range(0, 40));
+
+// Probe/rollback fuzz in the shape IncrementalAssignment drives it: unit
+// items hang off s, and each step adds a bin with random item edges (and
+// sometimes a wide s→bin edge), pushes free items straight in, levels the
+// rest with a bounded augment, then pushes the gain along bin→t.  Rolled-back probes must restore every
+// residual (direct pushes included) and leave the committed growth equal
+// to a from-scratch computation.
 class DinicCheckpointFuzz : public testing::TestWithParam<int> {};
 
 TEST_P(DinicCheckpointFuzz, RollbackNeverLeaks) {
@@ -206,45 +310,64 @@ TEST_P(DinicCheckpointFuzz, RollbackNeverLeaks) {
   DinicFlow live;
   const auto s = live.add_node();
   const auto t = live.add_node();
+  const int items = 3 + static_cast<int>(rng.next_below(8));
   std::vector<std::tuple<int, int, int>> committed_edges;  // (u, v, cap)
-  std::vector<DinicFlow::FlowNode> nodes{s, t};
+  std::vector<DinicFlow::EdgeId> source_edge;
+  for (int i = 0; i < items; ++i) {
+    const auto item = live.add_node();
+    source_edge.push_back(live.add_edge(s, item, 1));
+    committed_edges.emplace_back(0, item, 1);
+  }
   std::int64_t live_flow = 0;
+  const auto residuals = [&live] {
+    std::vector<std::int64_t> r;
+    for (DinicFlow::EdgeId e = 0; e < live.edge_count(); ++e) {
+      r.push_back(live.edge_residual(e));
+    }
+    return r;
+  };
 
   for (int step = 0; step < 30; ++step) {
     const bool probe_only = rng.chance(0.5);
+    const auto before = residuals();
     const auto cp = probe_only ? live.checkpoint() : DinicFlow::Checkpoint{};
-    // Add a random node with random edges from s-side and to t-side.
-    const auto nu = live.add_node();
-    const int cap_in = 1 + static_cast<int>(rng.next_below(3));
-    const int cap_out = 1 + static_cast<int>(rng.next_below(3));
-    live.add_edge(s, nu, cap_in);
-    live.add_edge(nu, t, cap_out);
-    const auto gain = live.augment(s, t);
+    const auto bin = live.add_node();
+    const std::int64_t cap = 1 + static_cast<std::int64_t>(rng.next_below(3));
+    std::int64_t direct = 0;
+    std::vector<int> linked;
+    for (int i = 0; i < items; ++i) {
+      if (!rng.chance(0.4)) continue;
+      linked.push_back(i);
+      const auto e = live.add_edge(2 + i, bin, 1);
+      const auto src = source_edge[static_cast<std::size_t>(i)];
+      if (direct < cap && live.edge_residual(src) > 0 && rng.chance(0.7)) {
+        live.push(src, 1);
+        live.push(e, 1);
+        ++direct;
+      }
+    }
+    // Sometimes a wide s→bin edge too, so paths of every length compete.
+    const int cap_in =
+        rng.chance(0.3) ? 1 + static_cast<int>(rng.next_below(3)) : 0;
+    if (cap_in > 0) live.add_edge(s, bin, cap_in);
+    const std::int64_t gain = direct + live.augment(s, bin, cap - direct, t);
+    live.push(live.add_edge(bin, t, cap), gain);
     if (probe_only) {
       live.rollback(cp);
+      EXPECT_EQ(residuals(), before) << "step " << step;
     } else {
-      nodes.push_back(nu);
-      committed_edges.emplace_back(0, static_cast<int>(nodes.size()) - 1,
-                                   cap_in);
-      committed_edges.emplace_back(static_cast<int>(nodes.size()) - 1, 1,
-                                   cap_out);
+      for (int i : linked) committed_edges.emplace_back(2 + i, bin, 1);
+      if (cap_in > 0) committed_edges.emplace_back(0, bin, cap_in);
+      committed_edges.emplace_back(bin, 1, static_cast<int>(cap));
       live_flow += gain;
     }
   }
 
   // Reference: rebuild only the committed structure from scratch.
   DinicFlow fresh;
-  std::vector<DinicFlow::FlowNode> fresh_nodes;
-  fresh_nodes.push_back(fresh.add_node());
-  fresh_nodes.push_back(fresh.add_node());
-  for (std::size_t i = 2; i < nodes.size(); ++i) {
-    fresh_nodes.push_back(fresh.add_node());
-  }
-  for (auto [u, v, cap] : committed_edges) {
-    fresh.add_edge(fresh_nodes[static_cast<std::size_t>(u)],
-                   fresh_nodes[static_cast<std::size_t>(v)], cap);
-  }
-  EXPECT_EQ(live_flow, fresh.augment(fresh_nodes[0], fresh_nodes[1]));
+  for (int v = 0; v < live.node_count(); ++v) fresh.add_node();
+  for (auto [u, v, cap] : committed_edges) fresh.add_edge(u, v, cap);
+  EXPECT_EQ(live_flow, fresh.augment(0, 1));
   EXPECT_EQ(live.augment(s, t), 0);  // live network is already maximal
 }
 
