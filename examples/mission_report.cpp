@@ -15,7 +15,6 @@
 #include "common/table.hpp"
 #include "core/appro_alg.hpp"
 #include "core/gateway.hpp"
-#include "energy/power.hpp"
 #include "eval/metrics.hpp"
 #include "io/serialize.hpp"
 #include "netsim/service_sim.hpp"
@@ -116,22 +115,6 @@ int main(int argc, char** argv) {
   }
   audit.add_row({"single points of failure", critical});
   audit.print(std::cout);
-
-  // 3b. Endurance audit: can the fleet hold the network up for the
-  //     requested time on station?
-  const double mission_s = 20 * 60.0;
-  const auto endurance = energy::endurance_report(
-      solution, energy::airframes_for_fleet(scenario), mission_s);
-  std::cout << "\nEndurance (mission " << mission_s / 60 << " min): network "
-            << "lifetime "
-            << format_double(endurance.network_lifetime_s / 60.0, 1)
-            << " min";
-  if (endurance.infeasible.empty()) {
-    std::cout << " — mission feasible\n";
-  } else {
-    std::cout << " — " << endurance.infeasible.size()
-              << " UAV(s) cannot stay on station that long\n";
-  }
 
   // 4. Service plane sanity check.
   netsim::ServiceSimConfig sim;

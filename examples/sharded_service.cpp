@@ -98,9 +98,8 @@ int main(int argc, char** argv) {
   std::cout << "Attempts " << result.stats.attempts << ", retries "
             << result.stats.retries << ", fallbacks "
             << result.stats.fallbacks << ", collisions dropped "
-            << result.stats.collisions_dropped << ", relays staffed "
-            << result.stats.relays_staffed << ", components dropped "
-            << result.stats.components_dropped << "\n";
+            << result.stats.collisions_dropped << ", dropped by reconnect "
+            << result.stats.dropped << "\n";
   std::cout << "Solution fingerprint: " << result.solution.fingerprint()
             << "\n";
   return 0;

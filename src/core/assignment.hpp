@@ -54,6 +54,7 @@ class IncrementalAssignment {
   std::int64_t served() const { return served_; }
 
   const std::vector<Deployment>& deployments() const { return deployments_; }
+  const Scenario& scenario() const { return scenario_; }
 
   // Read-only views for the invariant auditors (src/analysis/audit.hpp).
   const DinicFlow& flow() const { return flow_; }

@@ -27,13 +27,24 @@ FillResult fill_frontier(IncrementalAssignment& ia, const Graph& g,
       frontier.push_back(cell);
     }
   };
+  // A disconnected standing set keeps only its max-served component; the
+  // other standing UAVs become idle and are re-homed with the rest.
+  FillResult out;
+  const std::vector<std::vector<Deployment>> components =
+      deployment_components(ia.scenario(), standing);
+  if (components.size() > 1) {
+    const std::vector<Deployment>& kept =
+        components[max_served_component(ia.scenario(), coverage, components)
+                       .index];
+    out.dropped = static_cast<std::int32_t>(standing.size() - kept.size());
+    standing = kept;
+  }
   for (const Deployment& d : standing) {
     ia.deploy(d.uav, d.loc);
     seen[d.loc.index()] = true;
   }
   for (const Deployment& d : standing) extend(d.loc);
 
-  FillResult out;
   for (const UavId k : order) {
     if (std::ranges::any_of(standing,
                             [k](const Deployment& d) { return d.uav == k; })) {

@@ -16,6 +16,10 @@
 //   * Link — two deployments are linked when their cell centres are at
 //     most R_uav apart (the §II-C connectivity rule validate_solution
 //     checks).
+//   * Reconnect — a standing set that is disconnected under Link keeps
+//     only the component whose Lemma-1 assignment serves the most users
+//     (the earlier component on a tie); its other UAVs go back to idle
+//     and the fill re-homes them on the kept component's frontier.
 //   * Finalize — the optimal Lemma-1 assignment over a deployment set,
 //     packaged as a Solution.
 //
@@ -38,15 +42,17 @@
 namespace uavcov::planner {
 
 struct FillResult {
-  std::int32_t added = 0;   ///< idle UAVs deployed on the frontier.
-  std::int64_t probes = 0;  ///< IncrementalAssignment::probe calls spent.
+  std::int32_t added = 0;    ///< idle UAVs deployed on the frontier.
+  std::int32_t dropped = 0;  ///< standing deployments left out (Reconnect).
+  std::int64_t probes = 0;   ///< IncrementalAssignment::probe calls spent.
 };
 
 /// Deploys `standing` into `ia` (which must hold no deployments; a scoped
-/// one works), then walks `order` and puts every UAV not in `standing` on
-/// its best frontier cell while that cell's probed gain is positive.  `g`
-/// is the location graph at R_uav.  On return ia.deployments() is
-/// `standing` followed by the added UAVs.
+/// one works), then walks `order` and puts every UAV not deployed on its
+/// best frontier cell while that cell's probed gain is positive.  `g` is
+/// the location graph at R_uav.  A disconnected `standing` is reconnected
+/// first (see Reconnect above).  On return ia.deployments() is the kept
+/// standing deployments, in input order, followed by the added UAVs.
 FillResult fill_frontier(IncrementalAssignment& ia, const Graph& g,
                          const CoverageModel& coverage,
                          std::span<const Deployment> standing,

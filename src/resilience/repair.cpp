@@ -224,22 +224,15 @@ bool RepairController::repair_locally(Solution& solution,
 
   if (!connected) {
     // Phase 2 fallback (>= 2 survivors, or phase 1 would have connected):
-    // keep the best surviving component, abandon the rest, and spend every
-    // idle UAV (cut-off survivors included) on its frontier, largest
-    // capacity first (core/planner.hpp).
-    const std::vector<std::vector<Deployment>> components =
-        planner::deployment_components(degraded_, solution.deployments);
-    const std::vector<Deployment>& kept =
-        components[planner::max_served_component(degraded_, *coverage_,
-                                                 components)
-                       .index];
-    outcome.dropped += static_cast<std::int32_t>(
-        solution.deployments.size() - kept.size());
+    // keep the best surviving component and spend every idle UAV (cut-off
+    // survivors included) on its frontier, largest capacity first
+    // (planner::fill_frontier, core/planner.hpp).
     IncrementalAssignment ia(degraded_, *coverage_);
-    outcome.retasked += planner::fill_frontier(
-                            ia, g, *coverage_, kept,
-                            degraded_.uavs_by_capacity_desc())
-                            .added;
+    const planner::FillResult fill =
+        planner::fill_frontier(ia, g, *coverage_, solution.deployments,
+                               degraded_.uavs_by_capacity_desc());
+    outcome.dropped += fill.dropped;
+    outcome.retasked += fill.added;
     solution.deployments = ia.deployments();
   }
 

@@ -10,10 +10,11 @@
 //      cells with the solver's own MST stitching (core/relay.hpp) and
 //      re-task the lowest-marginal-value survivors onto them (the UAVs
 //      whose loss of coverage duty costs the fewest served users);
-//   3. if stitching is impossible (survivors mutually unreachable), fall
-//      back to the best surviving component and spend the cut-off UAVs on
-//      its frontier (planner::deployment_components, planner::fill_frontier
-//      in core/planner.hpp — the same fill approAlg runs for leftovers);
+//   3. if stitching is impossible (survivors mutually unreachable), hand
+//      the survivors to planner::fill_frontier (core/planner.hpp), whose
+//      Reconnect rule keeps the max-served component and re-homes the
+//      cut-off UAVs on its frontier — the same call the sharded-mission
+//      stitch makes and the same fill approAlg runs for leftovers;
 //   4. re-run the optimal assignment (Lemma 1) and, optionally, a bounded
 //      refine_solution pass —
 //

@@ -8,9 +8,9 @@
 #include "analysis/audit.hpp"
 #include "common/check.hpp"
 #include "common/stopwatch.hpp"
+#include "core/assignment.hpp"
 #include "core/coverage.hpp"
 #include "core/planner.hpp"
-#include "core/relay.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 
@@ -113,13 +113,11 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
 
   // Phase 2 — merge in tile-id order: journals, reports, and deployments
   // translated back into parent ids.  Cross-tile halo overlaps can land
-  // two UAVs on one parent cell; first tile wins, the loser's UAV joins
-  // the spare pool (§II-C forbids cell sharing).
+  // two UAVs on one parent cell; first tile wins and the loser's UAV is
+  // left idle (§II-C forbids cell sharing).
   std::vector<Deployment> deployments;
   std::vector<bool> cell_taken(static_cast<std::size_t>(scenario.grid.size()),
                                false);
-  std::vector<bool> uav_used(static_cast<std::size_t>(scenario.uav_count()),
-                             false);
   std::vector<std::int32_t> tile_of_user(
       static_cast<std::size_t>(scenario.user_count()), -1);
   std::vector<std::int32_t> tile_of_uav(
@@ -158,47 +156,23 @@ JobResult solve_mission(const Scenario& scenario, const MissionConfig& config,
         continue;
       }
       cell_taken[static_cast<std::size_t>(loc.value())] = true;
-      uav_used[static_cast<std::size_t>(uav.value())] = true;
       deployments.push_back(Deployment{uav, loc});
     }
   }
 
   const CoverageModel coverage(scenario);
-  // Phase 3 — boundary-gateway reconciliation: if the merged deployment
-  // set is disconnected under R_uav, staff the MST relay plan's gateway
-  // cells from spare UAVs (capacity-descending, deterministic); when the
-  // plan is unrealizable or the spares run out, keep the component whose
-  // Lemma-1 assignment serves the most users and drop the rest.
+  // Phase 3 — boundary reconciliation: a merged deployment set that is
+  // disconnected under R_uav keeps its max-served component, and every
+  // other UAV, spare or cut off, is re-homed on that component's frontier,
+  // largest capacity first (planner::fill_frontier).
   if (!deployments_connected(scenario, deployments)) {
     const Graph g = build_location_graph(scenario.grid, scenario.uav_range_m);
-    std::vector<UavId> spares;
-    for (const UavId k : scenario.uavs_by_capacity_desc()) {
-      if (!uav_used[static_cast<std::size_t>(k.value())]) {
-        spares.push_back(k);
-      }
-    }
-    std::vector<CellId> chosen;
-    chosen.reserve(deployments.size());
-    for (const Deployment& d : deployments) chosen.push_back(d.loc);
-    const std::optional<RelayPlan> relay_plan = stitch_connected(g, chosen);
-    if (relay_plan.has_value() &&
-        relay_plan->relay_count <= static_cast<std::int32_t>(spares.size())) {
-      for (std::size_t i = chosen.size(); i < relay_plan->nodes.size(); ++i) {
-        const CellId cell = relay_plan->nodes[i];
-        const UavId uav = spares[i - chosen.size()];
-        uav_used[static_cast<std::size_t>(uav.value())] = true;
-        deployments.push_back(Deployment{uav, cell});
-      }
-      out.stats.relays_staffed = relay_plan->relay_count;
-    } else {
-      std::vector<std::vector<Deployment>> components =
-          planner::deployment_components(scenario, deployments);
-      const std::size_t kept =
-          planner::max_served_component(scenario, coverage, components).index;
-      out.stats.components_dropped =
-          static_cast<std::int32_t>(components.size()) - 1;
-      deployments = std::move(components[kept]);
-    }
+    IncrementalAssignment ia(scenario, coverage);
+    out.stats.dropped =
+        planner::fill_frontier(ia, g, coverage, deployments,
+                               scenario.uavs_by_capacity_desc())
+            .dropped;
+    deployments = ia.deployments();
   }
 
   // Phase 4 — one global Lemma-1 assignment over the stitched deployment

@@ -5,9 +5,9 @@
 // retry / fallback / degradation ladder (service/supervisor.hpp) on a
 // thread pool, and the surviving tile solutions are stitched back into a
 // single §II-C-feasible Solution — cross-tile cell collisions resolved
-// first-tile-wins, disconnected deployments reconciled with the MST relay
-// planner (boundary gateways staffed from spare UAVs), and a final global
-// Lemma-1 assignment so halo-overlap users land on whichever tile's UAV
+// first-tile-wins, a disconnected merged set cut to its max-served
+// component with every other UAV re-homed on that component's frontier
+// (planner::fill_frontier), and a final global Lemma-1 assignment so halo-overlap users land on whichever tile's UAV
 // serves them best.  What could not be saved is named, not hidden: every
 // degraded tile is listed in the DegradationReport and every attempt in
 // the merged journal.
@@ -80,8 +80,8 @@ struct JobStats {
   std::int32_t retries = 0;             ///< failed approAlg attempts.
   std::int32_t fallbacks = 0;           ///< tiles saved by the baseline.
   std::int32_t collisions_dropped = 0;  ///< cross-tile cell collisions.
-  std::int32_t relays_staffed = 0;      ///< spare UAVs placed as relays.
-  std::int32_t components_dropped = 0;  ///< components cut by the fallback.
+  std::int32_t dropped = 0;             ///< merged deployments left out by
+                                        ///< the reconnect (then re-homed).
   bool cancelled = false;               ///< latch fired during the job.
   bool deadline_hit = false;            ///< job blew `deadline_s`.
   double seconds = 0.0;                 ///< wall clock of the mission.

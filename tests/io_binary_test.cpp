@@ -333,7 +333,7 @@ TEST(IoBinary, TraceCountOverflowRejected) {
   // section — and whose event section is empty.
   std::vector<io::codec::Section> sections(2);
   sections[0].id = 1;
-  sections[0].bytes.resize(16, 0);
+  sections[0].bytes = std::vector<std::uint8_t>(16, 0);
   io::codec::put_u64(sections[0].bytes.data(), (std::uint64_t{1} << 61) + 1);
   sections[1].id = 2;
   std::ostringstream epochs_out;

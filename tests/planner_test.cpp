@@ -1,5 +1,6 @@
-// Tests for core/planner: the frontier fill, the deployment components
-// with their max-served pick, and the Lemma-1 finalize.
+// Tests for core/planner: the frontier fill and its reconnect of a
+// disconnected standing set, the deployment components with their
+// max-served pick, and the Lemma-1 finalize.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -125,6 +126,54 @@ TEST(FillFrontier, EqualGainsGoToTheFirstSeenCell) {
   ASSERT_EQ(fill.added, 1);
   const LocationId first_seen = to_cell(g.neighbors(1).front());
   EXPECT_EQ(ia.deployments()[1], (Deployment{UavId{1}, first_seen}));
+}
+
+TEST(FillFrontier, DisconnectedStandingKeepsTheMaxServedGroupAndReHomes) {
+  // R_uav = 100 m = the cell pitch, so only adjacent cells link.  Group A
+  // = {UAV 0 at cell 0, UAV 1 at cell 1} and group B = {UAV 2 at cell 3}
+  // are unlinked; cell 2 holds one more user between them.
+  Scenario sc = row_scenario(6, 100.0);
+  for (const double x : {50.0, 150.0, 250.0, 340.0, 350.0, 360.0}) {
+    sc.users.push_back({{x, 50.0}, 1e3});
+  }
+  for (int k = 0; k < 3; ++k) sc.fleet.push_back({5, Radio{}, 40.0});
+  sc.validate();
+  const CoverageModel cov(sc);
+  const Graph g = build_location_graph(sc.grid, sc.uav_range_m);
+  const std::vector<Deployment> standing = {{UavId{0}, LocationId{0}},
+                                            {UavId{1}, LocationId{1}},
+                                            {UavId{2}, LocationId{3}}};
+  const std::vector<UavId> order = {UavId{0}, UavId{1}, UavId{2}};
+  ASSERT_FALSE(deployments_connected(sc, standing));
+
+  // B serves 3 against A's 2: A's UAVs are dropped and re-homed around B,
+  // the first on cell 2 (first-seen) and the second on cell 1 behind it.
+  IncrementalAssignment ia(sc, cov);
+  const planner::FillResult fill =
+      planner::fill_frontier(ia, g, cov, standing, order);
+  EXPECT_EQ(fill.dropped, 2);
+  EXPECT_EQ(fill.added, 2);
+  EXPECT_EQ(ia.deployments(),
+            (std::vector<Deployment>{{UavId{2}, LocationId{3}},
+                                     {UavId{0}, LocationId{2}},
+                                     {UavId{1}, LocationId{1}}}));
+  EXPECT_TRUE(deployments_connected(sc, ia.deployments()));
+  EXPECT_EQ(ia.served(), 5);
+
+  // Drop one of B's users: the groups tie at 2 and the earlier one, A,
+  // stays; UAV 2 is re-homed on cell 2, next to A.
+  sc.users.pop_back();
+  const CoverageModel cov_tie(sc);
+  IncrementalAssignment ia_tie(sc, cov_tie);
+  const planner::FillResult tie =
+      planner::fill_frontier(ia_tie, g, cov_tie, standing, order);
+  EXPECT_EQ(tie.dropped, 1);
+  EXPECT_EQ(tie.added, 1);
+  EXPECT_EQ(ia_tie.deployments(),
+            (std::vector<Deployment>{standing[0], standing[1],
+                                     {UavId{2}, LocationId{2}}}));
+  EXPECT_TRUE(deployments_connected(sc, ia_tie.deployments()));
+  EXPECT_EQ(ia_tie.served(), 3);
 }
 
 TEST(DeploymentComponents, LinksAtExactlyUavRangeInFirstMemberOrder) {

@@ -14,6 +14,7 @@
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
 #include "core/appro_alg.hpp"
+#include "core/coverage.hpp"
 #include "core/solution.hpp"
 #include "service/chaos.hpp"
 #include "service/service.hpp"
@@ -393,6 +394,48 @@ TEST(Mission, PreCancelledJobDegradesEveryPopulatedTile) {
     if (tile.status == TileStatus::kNoUsers) continue;
     EXPECT_EQ(tile.status, TileStatus::kEmpty);
   }
+}
+
+// --- stitching against single-shot ---------------------------------------
+
+/// bench_runner's service_sharded_s1 scenario: seed 110, 400 users, 8 UAVs,
+/// C_max 150.
+Scenario sharded_s1_scenario() {
+  Rng rng(110);
+  workload::ScenarioConfig config;
+  config.user_count = 400;
+  config.fleet.uav_count = 8;
+  config.fleet.capacity_max = 150;
+  return workload::make_disaster_scenario(config, rng);
+}
+
+TEST(Mission, OneTileMissionIsFingerprintIdenticalToSingleShot) {
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    const Scenario sc = mission_scenario(seed);
+    MissionConfig config = mission_config();
+    config.tiling.tiles_x = 1;
+    config.tiling.tiles_y = 1;
+    const JobResult mission = solve_mission(sc, config);
+    const CoverageModel coverage(sc);
+    const Solution single = appro_alg(sc, coverage, config.appro);
+    EXPECT_EQ(mission.solution.fingerprint(), single.fingerprint())
+        << "seed " << seed;
+    EXPECT_EQ(mission.stats.dropped, 0) << "seed " << seed;
+  }
+}
+
+TEST(Mission, NoFaultTwoByTwoServesNineTenthsOfSingleShot) {
+  // The stitch keeps the max-served component and re-homes every other
+  // UAV on its frontier instead of leaving them idle.
+  const Scenario sc = sharded_s1_scenario();
+  MissionConfig config = mission_config();
+  config.appro.candidate_cap = 40;
+  const JobResult mission = solve_mission(sc, config);
+  const CoverageModel coverage(sc);
+  const Solution single = appro_alg(sc, coverage, config.appro);
+  EXPECT_EQ(mission.report.degraded_tiles(), 0);
+  EXPECT_GE(10 * mission.solution.served, 9 * single.served)
+      << mission.solution.served << " against " << single.served;
 }
 
 // --- job queue ------------------------------------------------------------
